@@ -175,7 +175,6 @@ fn run_burst(
 ) -> BurstReport {
     let (high, low, floor) = scale.degrade;
     let config = ServiceConfig {
-        planners: 1,
         batch: scale.batch,
         durable_acks: false,
         queue_depth: scale.wave - scale.wave / 4,
@@ -235,12 +234,12 @@ fn run_burst(
     BurstReport { outcomes, wall, latencies, stats }
 }
 
-/// The deterministic chaos storm: one planner, batch 1, a serialized
-/// driver, and a seeded [`ChaosPlan`] injecting planner panics,
-/// planning stalls, and WAL faults (disk-full and torn appends) into a
-/// WAL-attached service under the `Reject` durability policy. Returns
-/// the deterministic report line — every count and digest, nothing
-/// wall-clock — which must be bit-identical across same-seed runs.
+/// The deterministic chaos storm: batch 1, a serialized driver, and a
+/// seeded [`ChaosPlan`] injecting planner panics, planning stalls, and
+/// WAL faults (disk-full and torn appends) into a WAL-attached service
+/// under the `Reject` durability policy. Returns the deterministic
+/// report line — every count and digest, nothing wall-clock — which
+/// must be bit-identical across same-seed runs.
 fn run_storm(
     infra: &Infrastructure,
     base: &CapacityState,
@@ -261,7 +260,6 @@ fn run_storm(
     session.checkpoint().expect("checkpoint storm base state");
     session.set_wal_fault_hook(Some(chaos.wal_hook()));
     let config = ServiceConfig {
-        planners: 1,
         batch: 1,
         durable_acks: true,
         wal_policy: DurabilityPolicy::Reject,

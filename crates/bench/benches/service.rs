@@ -1,10 +1,9 @@
-//! Sustained-load benchmark for the concurrent placement service: one
-//! 1,024-host data center admitting a seeded arrival/departure stream
+//! Sustained-load benchmark for the placement service: one 1,024-host
+//! data center admitting a seeded arrival/departure stream
 //! (`ostro_sim::stream`), comparing the serial warm-session baseline
-//! against the optimistic snapshot-plan / validate-commit pipeline at
-//! increasing planner counts.
+//! against the single-writer service at `ServiceConfig::default()`.
 //!
-//! Every service row is checked for the service's core contract —
+//! The service row is checked for the service's core contract —
 //! replaying the acknowledged mutations in commit-sequence order over
 //! the base state reproduces the final books exactly — and the run
 //! ends with a crash drill: a WAL-attached service is dropped
@@ -12,11 +11,10 @@
 //! acknowledged commit.
 //!
 //! Writes `BENCH_service.json` at the repository root with sustained
-//! req/s and p50/p99 submit-to-ack latency per planner count. The ≥4×
-//! scaling assertion only fires when the machine actually has ≥ 8
-//! cores (request-level parallelism cannot beat physics on fewer);
-//! the artifact records the detected core count so readers can judge
-//! the numbers. `--smoke` runs a fast 64-host variant for
+//! req/s and p50/p99 submit-to-ack latency for both rows and the
+//! detected core count. A full run fails if the service's req/s falls
+//! more than 10% below the checked-in artifact recorded at the same
+//! core count. `--smoke` runs a fast 64-host variant for
 //! `scripts/verify.sh`, writing under `target/`.
 
 use std::sync::Arc;
@@ -37,12 +35,10 @@ struct Scale {
     racks: usize,
     hosts_per_rack: usize,
     requests: usize,
-    planner_counts: &'static [usize],
 }
 
-const FULL: Scale =
-    Scale { racks: 64, hosts_per_rack: 16, requests: 160, planner_counts: &[1, 2, 4, 8] };
-const SMOKE: Scale = Scale { racks: 4, hosts_per_rack: 16, requests: 16, planner_counts: &[1, 2] };
+const FULL: Scale = Scale { racks: 64, hosts_per_rack: 16, requests: 160 };
+const SMOKE: Scale = Scale { racks: 4, hosts_per_rack: 16, requests: 16 };
 
 /// An acknowledged mutation, for the commit-order replay check.
 enum Acked {
@@ -80,8 +76,8 @@ impl RunReport {
 }
 
 /// Replays `acked` in commit-sequence order over `base` and asserts
-/// the fold equals `final_state` — the linearizability contract every
-/// service row must honor regardless of interleaving.
+/// the fold equals `final_state` — the service's linearizability
+/// contract.
 fn assert_commit_order_replay(
     infra: &Infrastructure,
     base: &CapacityState,
@@ -159,20 +155,21 @@ fn run_serial(
     report
 }
 
-/// One service row: the same schedule submitted through the batched
-/// front-end at `planners` planner threads. Departures wait on their
-/// own arrival's ticket (a tenant can only tear down what was stood
-/// up); everything else stays in flight.
+/// The service row: the same schedule submitted through `serve` at
+/// the default configuration. Departures wait on their own arrival's
+/// ticket (a tenant can only tear down what was stood up); everything
+/// else stays in flight.
 fn run_service(
     infra: &Infrastructure,
     base: &CapacityState,
     plan: &StreamPlan,
     request: &PlacementRequest,
-    planners: usize,
 ) -> (RunReport, ostro_core::ServiceStats) {
     let shapes: Vec<Arc<ApplicationTopology>> = plan.shapes.iter().cloned().map(Arc::new).collect();
-    let config = ServiceConfig { planners, durable_acks: false, ..ServiceConfig::default() };
-    let service = PlacementService::new(SchedulerSession::with_state(infra, base.clone()), config);
+    let service = PlacementService::new(
+        SchedulerSession::with_state(infra, base.clone()),
+        ServiceConfig::default(),
+    );
 
     let mut report = RunReport {
         wall: Duration::ZERO,
@@ -254,14 +251,7 @@ fn run_service(
 
     let stats = service.stats();
     let final_state = service.into_session().into_state();
-    assert_commit_order_replay(
-        infra,
-        base,
-        &plan.shapes,
-        acked,
-        &final_state,
-        &format!("service@{planners}"),
-    );
+    assert_commit_order_replay(infra, base, &plan.shapes, acked, &final_state, "service");
     (report, stats)
 }
 
@@ -289,7 +279,7 @@ fn crash_drill(
     session.checkpoint().expect("checkpoint drill base state");
     let service = PlacementService::new(
         session,
-        ServiceConfig { planners: 2, batch: 4, durable_acks: true, ..ServiceConfig::default() },
+        ServiceConfig { batch: 4, durable_acks: true, ..ServiceConfig::default() },
     );
 
     let shapes: Vec<Arc<ApplicationTopology>> = plan.shapes.iter().cloned().map(Arc::new).collect();
@@ -401,67 +391,26 @@ fn main() {
         serial.released,
     );
 
-    let mut rows = Vec::new();
-    let mut best_rps = 0f64;
-    for &planners in scale.planner_counts {
-        let (report, stats) = run_service(&infra, &base, &plan, &request, planners);
-        println!(
-            "service @ {planners} planners: {:.2} req/s (p50 {:.1} ms, p99 {:.1} ms), \
-             {} stale-admitted / {} conflicts / {} replans / {} overlap / {} serialized, \
-             {} batches",
-            report.requests_per_sec(),
-            report.percentile_ms(0.50),
-            report.percentile_ms(0.99),
-            stats.stale_admissions,
-            stats.commit_conflicts,
-            stats.replans,
-            stats.overlap_conflicts,
-            stats.serialized_fallbacks,
-            stats.batches,
-        );
-        assert_eq!(
-            report.placed as u64 + report.rejected as u64,
-            plan.arrivals() as u64,
-            "service@{planners}: every arrival must resolve"
-        );
-        best_rps = best_rps.max(report.requests_per_sec());
-        rows.push(format!(
-            concat!(
-                "{{\n",
-                "      \"planners\": {},\n",
-                "      \"requests_per_sec\": {:.2},\n",
-                "      \"p50_ms\": {:.2},\n",
-                "      \"p99_ms\": {:.2},\n",
-                "      \"placed\": {},\n",
-                "      \"rejected\": {},\n",
-                "      \"released\": {},\n",
-                "      \"stale_admissions\": {},\n",
-                "      \"commit_conflicts\": {},\n",
-                "      \"replans\": {},\n",
-                "      \"overlap_conflicts\": {},\n",
-                "      \"serialized_fallbacks\": {},\n",
-                "      \"batches\": {},\n",
-                "      \"snapshots_published\": {}\n",
-                "    }}"
-            ),
-            planners,
-            report.requests_per_sec(),
-            report.percentile_ms(0.50),
-            report.percentile_ms(0.99),
-            report.placed,
-            report.rejected,
-            report.released,
-            stats.stale_admissions,
-            stats.commit_conflicts,
-            stats.replans,
-            stats.overlap_conflicts,
-            stats.serialized_fallbacks,
-            stats.batches,
-            stats.snapshots_published,
-        ));
-    }
-    let speedup = best_rps / serial.requests_per_sec().max(1e-9);
-    println!("best service speedup over serial baseline: {speedup:.2}x ({cores} cores)");
+    let (service, stats) = run_service(&infra, &base, &plan, &request);
+    println!(
+        "service: {:.2} req/s (p50 {:.1} ms, p99 {:.1} ms), {} placed / {} rejected / \
+         {} released, {} batches",
+        service.requests_per_sec(),
+        service.percentile_ms(0.50),
+        service.percentile_ms(0.99),
+        service.placed,
+        service.rejected,
+        service.released,
+        stats.batches,
+    );
+    assert_eq!(
+        service.placed as u64 + service.rejected as u64,
+        plan.arrivals() as u64,
+        "service: every arrival must resolve"
+    );
+    let service_rps = service.requests_per_sec();
+    let speedup = service_rps / serial.requests_per_sec().max(1e-9);
+    println!("service speedup over serial baseline: {speedup:.2}x ({cores} cores)");
 
     let (drill_acked, drill_syncs) = crash_drill(&infra, &base, &plan, &request);
     println!("crash drill: {drill_acked} acked mutations recovered after {drill_syncs} group-commit syncs");
@@ -477,14 +426,16 @@ fn main() {
         if let Ok(prior) = std::fs::read_to_string(artifact_path) {
             if let Ok(doc) = serde_json::from_str::<serde_json::Value>(&prior) {
                 let prior_cores = doc.get("cores").and_then(serde_json::Value::as_u64).unwrap_or(0);
-                let prior_best =
-                    doc.get("best_requests_per_sec").and_then(serde_json::Value::as_f64);
+                let prior_rps = doc
+                    .get("service")
+                    .and_then(|row| row.get("requests_per_sec"))
+                    .and_then(serde_json::Value::as_f64);
                 if prior_cores == cores as u64 {
-                    if let Some(prior_best) = prior_best {
+                    if let Some(prior_rps) = prior_rps {
                         assert!(
-                            best_rps >= prior_best * 0.9,
-                            "service throughput regressed >10%: {best_rps:.2} req/s vs \
-                             {prior_best:.2} in the checked-in artifact"
+                            service_rps >= prior_rps * 0.9,
+                            "service throughput regressed >10%: {service_rps:.2} req/s vs \
+                             {prior_rps:.2} in the checked-in artifact"
                         );
                     }
                 }
@@ -495,16 +446,16 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"benchmark\": \"concurrent placement service\",\n",
+            "  \"benchmark\": \"placement service\",\n",
             "  \"hosts\": {},\n",
             "  \"smoke\": {},\n",
             "  \"cores\": {},\n",
             "  \"arrivals\": {},\n",
             "  \"departures\": {},\n",
             "  \"serial\": {},\n",
-            "  \"service\": [\n    {}\n  ],\n",
-            "  \"best_requests_per_sec\": {:.2},\n",
-            "  \"best_speedup\": {:.2},\n",
+            "  \"service\": {},\n",
+            "  \"batches\": {},\n",
+            "  \"speedup\": {:.2},\n",
             "  \"crash_drill\": {{\n",
             "    \"acked_mutations\": {},\n",
             "    \"group_commit_syncs\": {},\n",
@@ -518,8 +469,8 @@ fn main() {
         plan.arrivals(),
         plan.departures(),
         json_run(&serial),
-        rows.join(",\n    "),
-        best_rps,
+        json_run(&service),
+        stats.batches,
         speedup,
         drill_acked,
         drill_syncs,
@@ -527,14 +478,6 @@ fn main() {
     std::fs::write(artifact_path, &json).expect("write service artifact");
     println!("wrote {artifact_path}");
 
-    let doc: serde_json::Value =
+    let _: serde_json::Value =
         serde_json::from_str(&json).expect("service artifact must be well-formed JSON");
-    let parsed =
-        doc.get("best_speedup").and_then(serde_json::Value::as_f64).expect("speedup present");
-
-    // Scaling is a physics claim: only assert it where the physics
-    // exists. The artifact always records the core count.
-    if !smoke && cores >= 8 {
-        assert!(parsed >= 4.0, "service speedup {parsed:.2}x below the 4x target at {cores} cores");
-    }
 }

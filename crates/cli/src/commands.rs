@@ -108,9 +108,9 @@ pub enum Command {
         crash_at: Vec<usize>,
     },
     /// Drive a deterministic arrival/departure stream through the
-    /// concurrent placement service (or, with `--serial`, through a
-    /// warm session in strict event order) and report throughput,
-    /// latency percentiles, the service's conflict/batching counters,
+    /// placement service (or, with `--serial`, through a warm session
+    /// in strict event order) and report throughput, latency
+    /// percentiles, the service's batching and robustness counters,
     /// and an order-independent decision digest.
     Serve {
         /// Path to the infrastructure spec.
@@ -125,12 +125,8 @@ pub enum Command {
         depart_prob: f64,
         /// Stream seed (shapes, schedule, and solver tie-breaks).
         seed: u64,
-        /// Planner threads.
-        planners: usize,
         /// Maximum jobs per admission batch.
         batch: usize,
-        /// Optimistic re-plans before a request serializes.
-        retries: u32,
         /// Ingress-queue bound; placements over it are shed at the
         /// door with a typed `QueueFull` error (0 = unbounded).
         queue_depth: usize,
@@ -265,7 +261,7 @@ usage:
                  [--race-leak-prob X] [--reconcile-every N]
                  [--wal-dir <dir>] [--crash-at T1,T2,...]
   ostro serve    --infra <file> [--requests N] [--depart-prob X] [--seed N]
-                 [--planners N] [--batch N] [--retries N] [--serial]
+                 [--batch N] [--serial]
                  [--queue-depth N] [--budget-ms N] [--degrade] [--chaos-seed N]
                  [--shard] [--pods N] [--maintain]
                  [--algorithm egc|egbw|eg|bastar|dbastar] [--deadline-ms N]
@@ -444,21 +440,11 @@ impl Command {
                         .map(|v| parse_num(&v, "seed"))
                         .transpose()?
                         .unwrap_or(0x5EED_57AE),
-                    planners: flags
-                        .remove("planners")
-                        .map(|v| parse_num(&v, "planners"))
-                        .transpose()?
-                        .unwrap_or(2) as usize,
                     batch: flags
                         .remove("batch")
                         .map(|v| parse_num(&v, "batch"))
                         .transpose()?
                         .unwrap_or(8) as usize,
-                    retries: flags
-                        .remove("retries")
-                        .map(|v| parse_num(&v, "retries"))
-                        .transpose()?
-                        .unwrap_or(3) as u32,
                     queue_depth: flags
                         .remove("queue-depth")
                         .map(|v| parse_num(&v, "queue-depth"))
@@ -646,9 +632,7 @@ impl Command {
                 requests,
                 depart_prob,
                 seed,
-                planners,
                 batch,
-                retries,
                 queue_depth,
                 budget_ms,
                 degrade,
@@ -666,9 +650,7 @@ impl Command {
                 requests: *requests,
                 depart_prob: *depart_prob,
                 seed: *seed,
-                planners: *planners,
                 batch: *batch,
-                retries: *retries,
                 queue_depth: *queue_depth,
                 budget_ms: *budget_ms,
                 degrade: *degrade,
@@ -1026,9 +1008,7 @@ struct ServeArgs<'a> {
     requests: usize,
     depart_prob: f64,
     seed: u64,
-    planners: usize,
     batch: usize,
-    retries: u32,
     queue_depth: usize,
     budget_ms: u64,
     degrade: bool,
@@ -1079,9 +1059,9 @@ pub struct ServeReport {
     /// were placed or genuinely rejected against the books. Equal
     /// digests mean every decided arrival got the same placement (or
     /// rejection). Shed and panicked arrivals are excluded (they fold
-    /// into [`shed_digest`](Self::shed_digest) instead) so a
-    /// `--planners 1 --batch 1` service run still matches `--serial`
-    /// when nothing was shed.
+    /// into [`shed_digest`](Self::shed_digest) instead) so a service
+    /// run at any batch size still matches `--serial` when nothing was
+    /// shed.
     pub decision_digest: String,
     /// Order-independent digest of the shed/panicked set, tagged by
     /// shed class — the overload counterpart of the decision digest.
@@ -1092,8 +1072,8 @@ pub struct ServeReport {
     /// silently dropping acknowledged commits.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub wal_error: Option<String>,
-    /// The service's cumulative counters (conflicts, stale admissions,
-    /// re-plans, the batch-size histogram); absent in `--serial` mode.
+    /// The service's cumulative counters (the batch-size histogram,
+    /// sheds, WAL syncs and faults); absent in `--serial` mode.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub service: Option<ServiceStats>,
     /// Maintenance-plane counters from the post-stream defrag pass;
@@ -1276,9 +1256,7 @@ fn serve(args: &ServeArgs) -> Result<String, CliError> {
         wal_error = session.take_wal_error().map(|e| e.to_string());
     } else {
         let config = ServiceConfig {
-            planners: args.planners.max(1),
             batch: args.batch.max(1),
-            max_retries: args.retries,
             queue_depth: args.queue_depth,
             deadline_ms: args.budget_ms,
             degrade: DegradePolicy { enabled: args.degrade, ..DegradePolicy::default() },
@@ -2142,7 +2120,7 @@ mod tests {
     fn parse_accepts_serve_invocation() {
         match Command::parse(argv(
             "serve --infra i.json --requests 12 --depart-prob 0.5 --seed 9 \
-             --planners 3 --batch 4 --retries 2 --queue-depth 6 --budget-ms 250 \
+             --batch 4 --queue-depth 6 --budget-ms 250 \
              --degrade --chaos-seed 17 --shard --pods 3 --serial",
         ))
         .unwrap()
@@ -2151,9 +2129,7 @@ mod tests {
                 requests,
                 depart_prob,
                 seed,
-                planners,
                 batch,
-                retries,
                 queue_depth,
                 budget_ms,
                 degrade,
@@ -2166,9 +2142,7 @@ mod tests {
                 assert_eq!(requests, 12);
                 assert!((depart_prob - 0.5).abs() < 1e-12);
                 assert_eq!(seed, 9);
-                assert_eq!(planners, 3);
                 assert_eq!(batch, 4);
-                assert_eq!(retries, 2);
                 assert_eq!(queue_depth, 6);
                 assert_eq!(budget_ms, 250);
                 assert!(degrade, "--degrade is a boolean switch");
@@ -2191,6 +2165,15 @@ mod tests {
             other => panic!("wrong command {other:?}"),
         }
         assert!(matches!(Command::parse(argv("serve --requests 5")), Err(CliError::Usage(_))));
+        for gone in ["--planners 2", "--retries 3"] {
+            assert!(
+                matches!(
+                    Command::parse(argv(&format!("serve --infra i.json {gone}"))),
+                    Err(CliError::Usage(_))
+                ),
+                "{gone} is no longer a serve flag"
+            );
+        }
     }
 
     #[test]
@@ -2216,38 +2199,39 @@ mod tests {
     }
 
     #[test]
-    fn serve_single_planner_digest_matches_serial() {
+    fn serve_digest_matches_serial_at_any_batch() {
         let dir = tempdir("serve");
         let (infra, _) = write_examples(&dir);
         let base = format!("serve --infra {infra} --requests 6 --depart-prob 0.4 --seed 11");
         let serial: ServeReport =
             serde_json::from_str(&run(argv(&format!("{base} --serial"))).unwrap()).unwrap();
-        let service: ServeReport =
-            serde_json::from_str(&run(argv(&format!("{base} --planners 1 --batch 1"))).unwrap())
-                .unwrap();
         assert_eq!(serial.mode, "serial");
-        assert_eq!(service.mode, "service");
         assert_eq!(serial.arrivals, 6);
         assert!(serial.service.is_none(), "serial mode has no service counters");
-        // One planner, batch size one: the service degenerates to the
-        // serial path and every decision must be identical.
-        assert_eq!(serial.decision_digest, service.decision_digest);
-        assert_eq!((serial.placed, serial.rejected), (service.placed, service.rejected));
-        assert_eq!(serial.released, service.released);
-        let stats = service.service.expect("service mode reports its counters");
-        assert_eq!(stats.committed as usize, service.placed);
-        assert_eq!(stats.commit_conflicts, 0, "a lone planner cannot conflict");
+        // The single writer plans every request in queue order on the
+        // live books, so every decision matches the serial session at
+        // batch one and at the default batch alike.
+        for batch in ["--batch 1", ""] {
+            let service: ServeReport =
+                serde_json::from_str(&run(argv(&format!("{base} {batch}"))).unwrap()).unwrap();
+            assert_eq!(service.mode, "service");
+            assert_eq!(serial.decision_digest, service.decision_digest, "{batch}");
+            assert_eq!((serial.placed, serial.rejected), (service.placed, service.rejected));
+            assert_eq!(serial.released, service.released);
+            let stats = service.service.expect("service mode reports its counters");
+            assert_eq!(stats.committed as usize, service.placed);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn serve_concurrent_run_acknowledges_everything() {
+    fn serve_journaled_run_acknowledges_everything() {
         let dir = tempdir("serve-mt");
         let (infra, _) = write_examples(&dir);
         let wal = dir.join("wal").to_str().unwrap().to_owned();
         let out = run(argv(&format!(
             "serve --infra {infra} --requests 8 --depart-prob 0.4 --seed 3 \
-             --planners 4 --batch 2 --wal-dir {wal}"
+             --batch 2 --wal-dir {wal}"
         )))
         .unwrap();
         let report: ServeReport = serde_json::from_str(&out).unwrap();
@@ -2268,7 +2252,7 @@ mod tests {
         let (infra, _) = write_examples(&dir);
         let out = run(argv(&format!(
             "serve --infra {infra} --requests 32 --depart-prob 0.0 --seed 5 \
-             --planners 1 --batch 1 --queue-depth 1 --degrade"
+             --batch 1 --queue-depth 1 --degrade"
         )))
         .unwrap();
         let report: ServeReport = serde_json::from_str(&out).unwrap();
@@ -2296,7 +2280,7 @@ mod tests {
         let wal = dir.join("wal").to_str().unwrap().to_owned();
         let out = run(argv(&format!(
             "serve --infra {infra} --requests 10 --depart-prob 0.3 --seed 4 \
-             --planners 2 --batch 2 --chaos-seed 99 --wal-dir {wal}"
+             --batch 2 --chaos-seed 99 --wal-dir {wal}"
         )))
         .unwrap();
         let report: ServeReport = serde_json::from_str(&out).unwrap();
@@ -2421,7 +2405,7 @@ mod tests {
         let (infra, _) = write_examples(&dir);
         let out = run(argv(&format!(
             "serve --infra {infra} --requests 16 --depart-prob 0.5 --seed 11 \
-             --planners 1 --batch 1 --maintain"
+             --batch 1 --maintain"
         )))
         .unwrap();
         let report: ServeReport = serde_json::from_str(&out).unwrap();

@@ -13,7 +13,7 @@
 //!                [--lifetime N] [--seed N] [--crashes N]
 //!                [--launch-failure-prob X] [--stale-race-prob X]
 //! ostro serve    --infra infra.json [--requests N] [--depart-prob X]
-//!                [--planners N] [--batch N] [--retries N] [--serial]
+//!                [--batch N] [--serial]
 //!                [--maintain] [--wal-dir dir]
 //! ostro maintain --infra infra.json [--arrivals N] [--decay X] [--seed N]
 //!                [--ticks N] [--sweep-budget N] [--fail-stop N] [--gray N]

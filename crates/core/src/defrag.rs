@@ -314,7 +314,7 @@ struct DrainJob {
 /// [`tick`](Self::tick) with the session, the tenant ledger, the
 /// current tick, and the foreground load; it applies whatever drains
 /// and defrag moves are due and records them in the migration log.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MaintenancePlane {
     cfg: MaintenanceConfig,
     monitor: HealthMonitor,

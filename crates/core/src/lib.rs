@@ -99,9 +99,8 @@ pub use reconcile::{Divergence, DivergenceKind, HostTruth, ReconcileReport};
 pub use request::{Algorithm, PlacementRequest};
 pub use scheduler::Scheduler;
 pub use service::{
-    CommitAttempt, DegradePolicy, DurabilityPolicy, PlacementService, PlanHook, PlanSnapshot,
-    PlannedPlacement, ServiceConfig, ServiceHandle, ServiceOutcome, ServiceResponse, ServiceStats,
-    Ticket,
+    DegradePolicy, DurabilityPolicy, PlacementService, PlanHook, ServiceConfig, ServiceHandle,
+    ServiceOutcome, ServiceResponse, ServiceStats, Ticket,
 };
 pub use session::SchedulerSession;
 pub use validate::{reserved_bandwidth, verify_placement, Violation};

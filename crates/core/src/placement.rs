@@ -135,17 +135,6 @@ pub struct SearchStats {
     /// drains) over the session's lifetime so far.
     #[serde(default)]
     pub maintenance_migrations: u64,
-    /// Service-mode only: optimistic commits of this request that
-    /// failed validation (a concurrent commit touched a planned host
-    /// between snapshot and commit, or saturated a shared link).
-    #[serde(default)]
-    pub commit_conflicts: u64,
-    /// Service-mode only: how many times this request was re-planned
-    /// against a fresh snapshot after losing a commit race (bounded by
-    /// the service's retry budget; the last resort plans serialized
-    /// under the commit lock and counts here too).
-    #[serde(default)]
-    pub replans: u64,
     /// Sharded mode only: pods scored by the coarse digest stage
     /// before exact search (the whole fleet, once per request).
     #[serde(default)]

@@ -1,80 +1,41 @@
-//! The concurrent placement service: optimistic
-//! snapshot-plan / validate-commit scheduling over one
-//! [`SchedulerSession`].
+//! The placement service: a single writer that owns one
+//! [`SchedulerSession`] and admits a queue of placements and releases
+//! in order.
 //!
-//! A [`SchedulerSession`] is a `&mut self` world — every request
-//! serializes through it, so sustained throughput is capped at
-//! single-planner speed no matter how fast one scoring round is. The
-//! [`PlacementService`] splits each request into two phases:
+//! [`PlacementService::serve`] runs one writer thread behind a FIFO
+//! ingress queue. The writer pops up to [`ServiceConfig::batch`] jobs
+//! and handles them as one admission batch, in queue order, against
+//! the live books:
 //!
-//! 1. **Snapshot-plan** — the planner grabs the current
-//!    [`PlanSnapshot`] (an epoch-stamped, immutable copy of the
-//!    committed books plus the session's summaries and capacity-table
-//!    columns; the value-keyed bound cache is *shared*, not copied)
-//!    and solves against it with no lock held. Any number of planners
-//!    plan concurrently against the same snapshot.
-//! 2. **Validate-commit** — under the single commit lock, the planned
-//!    hosts' per-host epochs are compared with the snapshot's. If no
-//!    planned host changed since the snapshot, the decision commits:
-//!    the session applies it (journaling dirty hosts and appending to
-//!    the WAL, which makes the commit *order* durable), the touched
-//!    hosts' epochs advance to the new commit sequence number, and a
-//!    fresh snapshot is published. The lock is held only for the cheap
-//!    apply — never for planning.
+//! 1. a placement whose deadline budget already ran out in the queue is
+//!    shed, and under overload the degrade ladder may swap its search
+//!    for a cheaper one;
+//! 2. the [`PlanHook`] and [`SchedulerSession::place`] run inside
+//!    `catch_unwind`, so a panicking plan becomes a typed error;
+//! 3. the decision is applied with [`SchedulerSession::commit`] (a
+//!    release with [`SchedulerSession::release`]) and takes the next
+//!    commit sequence number;
+//! 4. after the last member, one group-commit fsync covers the whole
+//!    batch ([`ServiceConfig::durable_acks`]) under the
+//!    [`DurabilityPolicy`]. Only then are the batch's acks delivered,
+//!    so a delivered `Placed` is durable.
 //!
-//! Validation is two-level. Epoch cleanliness is the fast path: a
-//! clean decision's books are exactly what it planned against, so its
-//! commit is guaranteed to apply and its objective is exact. An
-//! epoch-**stale** decision is not rejected outright — under a packing
-//! objective every concurrent planner wants the same attractive hosts,
-//! so strict staleness-equals-conflict degenerates the pipeline to
-//! serial. Instead (with [`ServiceConfig::admit_stale`], the default)
-//! the session's all-or-nothing commit re-validates the decision
-//! against the *live* books: if capacity and every link still admit
-//! it, it commits — its objective drifts by at most what raced in
-//! ahead of it. Only a decision the live books no longer admit is a
-//! **conflict**: the loser re-plans against a fresh snapshot, up to
-//! [`ServiceConfig::max_retries`] times, then plans *serialized* under
-//! the commit lock, where it cannot lose again. Host epochs alone are
-//! never sufficient — a concurrent commit elsewhere in a rack can
-//! saturate a shared uplink a "clean" plan relied on — so the session
-//! commit remains the authoritative check in every path, and a commit
-//! failure against a moved sequence number is a conflict too.
-//!
-//! One caveat of stale admission: the commit re-validates *capacity*,
-//! not candidacy policy. The service exposes no quarantine entry
-//! point, so this cannot currently admit a decision onto a host some
-//! concurrent operation disqualified; if the service ever grows such
-//! an entry point, quarantine must join the epoch check.
-//!
-//! **Admission batching**: [`PlacementService::serve`] runs a planner
-//! pool behind a FIFO queue. Each planner pops up to
-//! [`ServiceConfig::batch`] jobs, plans them all against *one*
-//! snapshot, detects host-set overlap between batch members up front
-//! (a later member overlapping an earlier one's hosts would lose
-//! validation anyway, so it goes straight to the retry path without
-//! entering the lock), then takes the commit lock **once** for the
-//! whole batch and publishes **one** snapshot. With
-//! [`ServiceConfig::durable_acks`] the batch also fsyncs the WAL once
-//! before any of its responses are delivered — group commit: a
-//! delivered `Placed` is durable.
+//! Each member plans on books that already hold every earlier
+//! member's commit or release, so decisions are exactly those of a
+//! warm session serving the same requests one at a time, at any batch
+//! size — `scripts/verify.sh` diffs the two decision digests on every
+//! run. Parallelism lives inside a request: each request keeps its own
+//! [`PlacementRequest::parallel`] and
+//! [`PlacementRequest::score_threads`].
 //!
 //! # What the service guarantees
 //!
-//! Commits are **linearized** by the commit sequence number: the final
-//! books equal a serial replay of the committed decisions in sequence
-//! order over the base state, and every decision was feasible at its
-//! commit point (the session's all-or-nothing commit checked it while
-//! holding the lock). With one planner and batch size 1 the pipeline
-//! degenerates to the serial warm-session path and decisions are
-//! bit-identical to [`SchedulerSession::place`] — `scripts/verify.sh`
-//! diffs the two decision digests on every run.
-//!
-//! Concurrent planners run their searches with request-level
-//! parallelism instead of intra-request scoring parallelism
-//! ([`PlacementRequest::parallel`] is forced off in
-//! [`plan`](PlacementService::plan)): a scoring pool serves one search
-//! at a time, and parallel-vs-serial scoring is bit-identical anyway.
+//! Mutations are **linearized** by the commit sequence number: the
+//! final books equal a serial replay of the acknowledged commits and
+//! releases in sequence order over the base state, and every decision
+//! was feasible at its commit point. With a WAL attached the journal
+//! records them in the same order, so recovery after a crash
+//! reproduces at least every acknowledged mutation.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -83,7 +44,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ostro_datacenter::{CapacityState, HostId, Infrastructure};
+use ostro_datacenter::Infrastructure;
 use ostro_model::ApplicationTopology;
 use serde::{Deserialize, Serialize};
 
@@ -93,28 +54,16 @@ use crate::error::PlacementError;
 use crate::placement::{Placement, PlacementOutcome};
 use crate::pool::lock_unpoisoned;
 use crate::request::PlacementRequest;
-use crate::scheduler::Scheduler;
-use crate::session::{avail_signature, HostSummary, SchedulerSession, SessionShared};
+use crate::session::SchedulerSession;
 use crate::wal::WalMark;
 
 /// Tuning for a [`PlacementService`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServiceConfig {
-    /// Planner threads [`serve`](PlacementService::serve) runs.
-    pub planners: usize,
-    /// Maximum jobs one planner plans against a single snapshot (and
-    /// commits under a single lock acquisition).
+    /// Maximum jobs the writer admits as one batch (one group-commit
+    /// fsync).
     pub batch: usize,
-    /// Optimistic re-plans a losing request is granted before it falls
-    /// back to planning serialized under the commit lock.
-    pub max_retries: u32,
-    /// Admit epoch-stale decisions whose commit still succeeds against
-    /// the live books (see the module docs). `false` demands strict
-    /// epoch cleanliness — every stale decision re-plans, which keeps
-    /// objectives snapshot-exact but collapses throughput under
-    /// packing objectives where every planner wants the same hosts.
-    pub admit_stale: bool,
-    /// When a WAL is attached: fsync once per commit-lock acquisition,
+    /// When a WAL is attached: fsync once per admission batch,
     /// *before* responses are delivered, so an acknowledged commit is
     /// durable (group commit). Without a WAL this is a no-op.
     pub durable_acks: bool,
@@ -166,10 +115,7 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            planners: 1,
             batch: 8,
-            max_retries: 3,
-            admit_stale: true,
             durable_acks: true,
             queue_depth: 0,
             deadline_ms: 0,
@@ -187,7 +133,7 @@ impl Default for ServiceConfig {
 /// tiers' expansion budgets, then dropping to the greedy EG floor —
 /// and climbs back up with hysteresis as the backlog drains.
 ///
-/// The ladder has three rungs, keyed off the queue depth a planner
+/// The ladder has three rungs, keyed off the queue depth the writer
 /// observes when it wakes: **normal** (the requested algorithm,
 /// untouched), **capped** (depth ≥ [`high`](Self::high):
 /// `max_expansions` tightened to [`cap_expansions`](Self::cap_expansions)),
@@ -235,95 +181,11 @@ pub enum DurabilityPolicy {
     /// [`ServiceConfig::wal_backoff_ms`]); if the journal still cannot
     /// be completed, roll the books back, rewind the journal to the
     /// pre-batch mark, and fail every acknowledgement of the batch
-    /// with [`PlacementError::Durability`]. The journal heals in
-    /// place, so the service keeps serving once the disk recovers.
+    /// with [`PlacementError::Durability`]. A maintenance tick that
+    /// cannot be journaled is rolled back the same way. The journal
+    /// heals in place, so the service keeps serving once the disk
+    /// recovers.
     Reject,
-}
-
-/// An epoch-stamped, immutable view of the committed books that any
-/// number of planners can solve against concurrently.
-#[derive(Debug)]
-pub struct PlanSnapshot {
-    /// Commit sequence number at capture: how many mutations (commits
-    /// and releases) the service had applied.
-    seq: u64,
-    /// Per-host commit epochs at capture — `host_epochs[h]` is the
-    /// sequence number of the last mutation that touched host `h`.
-    host_epochs: Vec<u64>,
-    /// The committed books at capture.
-    state: CapacityState,
-    /// The session's summaries and capacity-table columns describing
-    /// `state`, plus the *shared* value-keyed bound cache.
-    shared: SessionShared,
-}
-
-impl PlanSnapshot {
-    /// The commit sequence number this snapshot was captured at.
-    #[must_use]
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// The frozen books this snapshot plans against.
-    #[must_use]
-    pub fn state(&self) -> &CapacityState {
-        &self.state
-    }
-
-    /// The commit epoch of `host` at capture.
-    #[must_use]
-    pub fn host_epoch(&self, host: HostId) -> u64 {
-        self.host_epochs[host.index()]
-    }
-}
-
-/// Phase-1 output: a decision planned against a snapshot, not yet
-/// validated or committed.
-#[derive(Debug)]
-pub struct PlannedPlacement {
-    outcome: PlacementOutcome,
-    snapshot: Arc<PlanSnapshot>,
-    /// Distinct hosts the decision touches, ascending by index — the
-    /// set validate-commit checks epochs for.
-    hosts: Vec<HostId>,
-}
-
-impl PlannedPlacement {
-    /// The planned decision and its search metrics.
-    #[must_use]
-    pub fn outcome(&self) -> &PlacementOutcome {
-        &self.outcome
-    }
-
-    /// The snapshot this plan was computed against.
-    #[must_use]
-    pub fn snapshot(&self) -> &Arc<PlanSnapshot> {
-        &self.snapshot
-    }
-
-    /// Distinct hosts the decision touches, ascending by index.
-    #[must_use]
-    pub fn hosts(&self) -> &[HostId] {
-        &self.hosts
-    }
-}
-
-/// The result of one optimistic commit attempt.
-// One short-lived value per commit attempt; boxing the outcome would
-// trade an allocation per commit for nothing.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum CommitAttempt {
-    /// Validation passed; the decision is in the books (and, with a
-    /// WAL attached, in the journal).
-    Committed(ServiceOutcome),
-    /// A planned host changed since the snapshot (or a shared link the
-    /// plan relied on saturated). Re-plan against a fresh snapshot.
-    Conflict {
-        /// The first planned host whose epoch moved (or, for a link
-        /// conflict, the plan's first host).
-        host: HostId,
-    },
 }
 
 /// A committed placement: the decision plus its position in the
@@ -334,10 +196,7 @@ pub struct ServiceOutcome {
     /// committed decisions in `seq` order over the base state
     /// reproduces the books exactly.
     pub seq: u64,
-    /// The decision and search metrics;
-    /// [`stats.commit_conflicts`](crate::SearchStats::commit_conflicts)
-    /// and [`stats.replans`](crate::SearchStats::replans) record how
-    /// contended this request's path to commit was.
+    /// The decision and search metrics.
     pub outcome: PlacementOutcome,
 }
 
@@ -351,29 +210,17 @@ pub struct ServiceStats {
     pub released: u64,
     /// Requests rejected (planning failed against current books).
     pub rejected: u64,
-    /// Optimistic commits that failed validation (the live books no
-    /// longer admitted the decision, or — in strict mode — a planned
-    /// host's epoch moved).
-    pub commit_conflicts: u64,
-    /// Epoch-stale decisions the live books still admitted (committed
-    /// without re-planning; their objectives are snapshot-relative).
-    pub stale_admissions: u64,
-    /// Re-plans against a fresh snapshot after a lost commit race.
+    /// Always 0: the single writer plans against the live books and
+    /// never re-plans. Kept for the end-to-end benchmark's per-layer
+    /// report, which reads it.
     pub replans: u64,
-    /// Within-batch host-set overlaps detected by the up-front screen.
-    /// In strict mode these members go straight to the retry path; with
-    /// stale admission they proceed to live-book re-validation (and
-    /// usually land in [`stale_admissions`](Self::stale_admissions)).
-    pub overlap_conflicts: u64,
-    /// Requests that exhausted their retry budget and planned
-    /// serialized under the commit lock.
-    pub serialized_fallbacks: u64,
-    /// Batches popped by planners.
+    /// Batches popped by the writer.
     pub batches: u64,
     /// Histogram of batch sizes: `batch_sizes[n]` batches held exactly
     /// `n` jobs.
     pub batch_sizes: Vec<u64>,
-    /// Snapshots published (one per mutating lock acquisition).
+    /// Always 0: the single writer publishes no snapshots. Kept for
+    /// the end-to-end benchmark's per-layer report, which reads it.
     pub snapshots_published: u64,
     /// Group-commit WAL fsyncs issued.
     pub wal_syncs: u64,
@@ -437,33 +284,14 @@ pub struct ServiceStats {
     pub maintenance_yields: u64,
 }
 
-/// The serialized half: the session (whose all-or-nothing commit is
-/// the authoritative feasibility check), the commit sequence number,
-/// and the per-host commit epochs validation compares against.
+/// The writer's state: the session and the commit sequence number.
 #[derive(Debug)]
 struct Authority<'a> {
     session: SchedulerSession<'a>,
     seq: u64,
-    host_epochs: Vec<u64>,
 }
 
 impl Authority<'_> {
-    /// The first planned host whose epoch moved since the snapshot.
-    fn stale_host(&self, planned: &PlannedPlacement) -> Option<HostId> {
-        planned
-            .hosts
-            .iter()
-            .copied()
-            .find(|h| self.host_epochs[h.index()] != planned.snapshot.host_epochs[h.index()])
-    }
-
-    fn bump_epochs(&mut self, placement: &Placement) {
-        let seq = self.seq;
-        for &host in placement.assignments() {
-            self.host_epochs[host.index()] = seq;
-        }
-    }
-
     fn apply_commit(
         &mut self,
         topology: &ApplicationTopology,
@@ -471,7 +299,6 @@ impl Authority<'_> {
     ) -> Result<u64, PlacementError> {
         self.session.commit(topology, placement)?;
         self.seq += 1;
-        self.bump_epochs(placement);
         Ok(self.seq)
     }
 
@@ -482,70 +309,16 @@ impl Authority<'_> {
     ) -> Result<u64, PlacementError> {
         self.session.release(topology, placement)?;
         self.seq += 1;
-        self.bump_epochs(placement);
         Ok(self.seq)
     }
 }
 
-/// Outcome of one validate-commit under the lock, before stats and
-/// snapshot publication are folded in.
-enum Validated {
-    /// Epoch-clean: committed with a snapshot-exact objective.
-    Committed {
-        seq: u64,
-    },
-    /// Epoch-stale but the live books still admitted it.
-    CommittedStale {
-        seq: u64,
-    },
-    Conflict {
-        host: HostId,
-    },
-}
-
-/// A batch's speculative books: one clone of the snapshot's state and
-/// shared tables, with earlier batch members' decisions applied
-/// virtually so later members plan around them instead of colliding.
-/// Batch members plan sequentially on one planner thread, so the
-/// overlay needs no synchronization; cross-planner races are still
-/// caught by epoch validation at commit time.
-struct BatchView {
-    state: CapacityState,
-    shared: SessionShared,
-}
-
-impl BatchView {
-    /// Re-resolves `hosts` from the overlaid state — the same per-host
-    /// resync the session's dirty-host journal performs after a real
-    /// commit, so summaries, capacity-table columns, and the epoch
-    /// component of cache keys stay value-correct.
-    fn refresh_hosts(&mut self, hosts: impl IntoIterator<Item = HostId>) {
-        for host in hosts {
-            let free = self.state.available(host);
-            let fresh = HostSummary {
-                free,
-                nic_mbps: self.state.nic_available(host).as_mbps(),
-                avail_sig: avail_signature(free),
-            };
-            let old = self.shared.summaries[host.index()];
-            self.shared.pods.update(host.index(), &old, &fresh);
-            self.shared.summaries[host.index()] = fresh;
-            self.shared.table.refresh_base_host(&self.state, host);
-            self.shared.epochs[host.index()] += 1;
-        }
-    }
-}
-
-/// The concurrent placement service. See the module docs for the
-/// pipeline; [`serve`](Self::serve) for the batched front-end;
-/// [`place_blocking`](Self::place_blocking) /
-/// [`release_blocking`](Self::release_blocking) for direct calls (any
-/// number of threads may call them concurrently — `&self` throughout).
+/// The placement service. See the module docs for the admission path
+/// and [`serve`](Self::serve) for the queue front-end.
 #[derive(Debug)]
 pub struct PlacementService<'a> {
     infra: &'a Infrastructure,
     authority: Mutex<Authority<'a>>,
-    snapshot: Mutex<Arc<PlanSnapshot>>,
     stats: Mutex<ServiceStats>,
     config: ServiceConfig,
     /// Current degrade-ladder rung (one of the `LEVEL_*` constants).
@@ -560,11 +333,11 @@ const LEVEL_NORMAL: u8 = 0;
 const LEVEL_CAPPED: u8 = 1;
 const LEVEL_FLOOR: u8 = 2;
 
-/// An injectable planner hook, called at the top of every plan with
-/// the topology about to be solved. The chaos harness uses it to
-/// inject planner panics (a panicking hook is exactly a panicking
-/// search, and must be contained the same way) and latency spikes (a
-/// sleeping hook). Production services have none.
+/// An injectable planner hook, called before every plan with the
+/// topology about to be solved. The chaos harness uses it to inject
+/// planner panics (a panicking hook is exactly a panicking search, and
+/// must be contained the same way) and latency spikes (a sleeping
+/// hook). Production services have none.
 #[derive(Clone)]
 pub struct PlanHook(Arc<dyn Fn(&ApplicationTopology) + Send + Sync>);
 
@@ -597,23 +370,12 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 impl<'a> PlacementService<'a> {
-    /// Wraps `session` in the service. The session's pending dirty
-    /// hosts are drained and the initial snapshot published.
+    /// Wraps `session` in the service.
     #[must_use]
-    pub fn new(mut session: SchedulerSession<'a>, config: ServiceConfig) -> Self {
-        session.refresh();
-        let infra = session.infrastructure();
-        let host_epochs = vec![0u64; infra.host_count()];
-        let snapshot = Arc::new(PlanSnapshot {
-            seq: 0,
-            host_epochs: host_epochs.clone(),
-            state: session.state().clone(),
-            shared: session.shared().clone_for_snapshot(),
-        });
+    pub fn new(session: SchedulerSession<'a>, config: ServiceConfig) -> Self {
         PlacementService {
-            infra,
-            authority: Mutex::new(Authority { session, seq: 0, host_epochs }),
-            snapshot: Mutex::new(snapshot),
+            infra: session.infrastructure(),
+            authority: Mutex::new(Authority { session, seq: 0 }),
             stats: Mutex::new(ServiceStats::default()),
             config,
             degrade_level: AtomicU8::new(LEVEL_NORMAL),
@@ -622,8 +384,8 @@ impl<'a> PlacementService<'a> {
         }
     }
 
-    /// Installs (or clears) the planner hook consulted at the top of
-    /// every plan — the chaos harness's panic/latency injection point.
+    /// Installs (or clears) the planner hook consulted before every
+    /// plan — the chaos harness's panic/latency injection point.
     pub fn set_plan_hook(&mut self, hook: Option<PlanHook>) {
         self.plan_hook = hook;
     }
@@ -657,7 +419,7 @@ impl<'a> PlacementService<'a> {
     }
 
     /// Steps the degrade ladder for an observed queue depth (called by
-    /// a planner as it wakes), with the hysteresis described on
+    /// the writer as it wakes), with the hysteresis described on
     /// [`DegradePolicy`]. Returns the level planning should run at.
     fn update_degrade(&self, depth: usize) -> u8 {
         let policy = &self.config.degrade;
@@ -762,21 +524,17 @@ impl<'a> PlacementService<'a> {
         f(&mut lock_unpoisoned(&self.stats));
     }
 
-    /// The current published snapshot. Cheap: an [`Arc`] clone.
-    #[must_use]
-    pub fn snapshot(&self) -> Arc<PlanSnapshot> {
-        Arc::clone(&lock_unpoisoned(&self.snapshot))
-    }
-
     /// Runs one maintenance-plane tick against the live books,
-    /// serialized with foreground commits. The plane sees the caller's
+    /// serialized with admission batches. The plane sees the caller's
     /// `queue_depth` and the current degrade-ladder rung, so sweeps
-    /// yield whenever foreground traffic is already struggling. If the
-    /// tick touched the books, every touched host's epoch is bumped —
-    /// in-flight optimistic plans whose hosts were migrated under them
-    /// revalidate instead of committing stale — a fresh snapshot is
-    /// published, and (under durable acknowledgements) one group-commit
-    /// fsync covers every migration record the tick journaled.
+    /// yield whenever foreground traffic is already struggling. A tick
+    /// that touched the books takes the next commit sequence number
+    /// and goes through the same group commit as a batch: one fsync
+    /// covers every record it journaled, under the
+    /// [`DurabilityPolicy`]. Under [`DurabilityPolicy::Reject`] a tick
+    /// the journal could not take is undone — books, `ledger` and
+    /// `plane` return to their state before the tick, the journal is
+    /// rewound — and reported as a tick that did nothing.
     pub fn maintain(
         &self,
         plane: &mut MaintenancePlane,
@@ -786,18 +544,27 @@ impl<'a> PlacementService<'a> {
     ) -> MaintenanceTick {
         let load = MaintenanceLoad { queue_depth, degrade_level: self.degrade_level() };
         let mut authority = lock_unpoisoned(&self.authority);
-        let report = plane.tick(&mut authority.session, ledger, tick, load);
-        let touched: Vec<HostId> = authority.session.pending_dirty_hosts().to_vec();
-        if !touched.is_empty() {
-            authority.seq += 1;
-            let seq = authority.seq;
-            for host in touched {
-                authority.host_epochs[host.index()] = seq;
-            }
-            self.publish_locked(&mut authority);
-            if self.config.durable_acks {
-                authority.session.sync_wal();
-                self.note(|st| st.wal_syncs += 1);
+        let session = &mut authority.session;
+        // Drain pending summary updates so the dirty-host journal
+        // afterwards holds exactly what the tick touched.
+        session.refresh();
+        let mark = session.wal_mark();
+        let undoable = self.config.durable_acks
+            && self.config.wal_policy == DurabilityPolicy::Reject
+            && mark.is_some();
+        let before = undoable.then(|| (session.save_books(), ledger.clone(), plane.clone()));
+        let mut report = plane.tick(session, ledger, tick, load);
+        if !session.pending_dirty_hosts().is_empty() {
+            let failed = self.sync_locked(session, mark, 0, |session| {
+                if let Some((books, saved_ledger, saved_plane)) = before {
+                    session.restore_books(books);
+                    *ledger = saved_ledger;
+                    *plane = saved_plane;
+                }
+            });
+            match failed {
+                Some(_) => report = MaintenanceTick::default(),
+                None => authority.seq += 1,
             }
         }
         self.note(|st| {
@@ -810,50 +577,38 @@ impl<'a> PlacementService<'a> {
         report
     }
 
-    /// Re-captures the snapshot from the authority's current books.
-    /// Called with the lock held, after every mutating acquisition.
-    fn publish_locked(&self, authority: &mut Authority<'a>) {
-        authority.session.refresh();
-        let snapshot = Arc::new(PlanSnapshot {
-            seq: authority.seq,
-            host_epochs: authority.host_epochs.clone(),
-            state: authority.session.state().clone(),
-            shared: authority.session.shared().clone_for_snapshot(),
-        });
-        *lock_unpoisoned(&self.snapshot) = snapshot;
-        self.note(|st| st.snapshots_published += 1);
-    }
-
-    /// Group-commit point: fsync the WAL once for everything this lock
-    /// acquisition committed, before any response is delivered.
+    /// Group-commit point: fsync the WAL once for everything the
+    /// writer applied since `mark`, before any response is delivered.
     ///
-    /// `mark` is the journal position captured when the lock was
-    /// acquired (before the first append), `applied` how many
-    /// mutations this acquisition performed, and `undo` a books-only
-    /// rollback of those mutations in reverse order. On a WAL failure
-    /// the [`DurabilityPolicy`] decides: `Degrade` keeps the
-    /// acknowledgements (counted non-durable; the latched error stays
-    /// loud via [`SchedulerSession::take_wal_error`]); `Reject`
-    /// retries the fsync, then runs `undo`, rewinds the journal to
-    /// `mark`, and returns the typed error the caller must convert
-    /// this acquisition's acknowledgements into.
+    /// `mark` is the journal position captured before the first
+    /// append, `acks` how many acknowledgements ride on this sync, and
+    /// `undo` a books-only rollback of everything applied since the
+    /// mark. On a WAL failure the [`DurabilityPolicy`] decides:
+    /// `Degrade` keeps the acknowledgements (counted non-durable; the
+    /// latched error stays loud via
+    /// [`SchedulerSession::take_wal_error`]); `Reject` retries the
+    /// fsync, then runs `undo`, rewinds the journal to `mark`, and
+    /// returns the typed error the caller must convert the
+    /// acknowledgements into.
     fn sync_locked(
         &self,
-        authority: &mut Authority<'a>,
+        session: &mut SchedulerSession<'a>,
         mark: Option<WalMark>,
-        applied: u64,
+        acks: u64,
         undo: impl FnOnce(&mut SchedulerSession<'a>),
     ) -> Option<PlacementError> {
         if !self.config.durable_acks {
             return None;
         }
-        authority.session.sync_wal();
+        // An error latched before the fsync means an append failed.
+        let appends_landed = session.wal_error().is_none();
+        session.sync_wal();
         self.note(|st| st.wal_syncs += 1);
-        authority.session.wal_error()?;
+        session.wal_error()?;
         self.note(|st| st.wal_faults += 1);
         match self.config.wal_policy {
             DurabilityPolicy::Degrade => {
-                self.note(|st| st.non_durable_acks += applied);
+                self.note(|st| st.non_durable_acks += acks);
                 None
             }
             DurabilityPolicy::Reject => {
@@ -861,24 +616,24 @@ impl<'a> PlacementService<'a> {
                 // Retrying the fsync only helps when every append
                 // landed; a missing append means the journal cannot be
                 // completed, only rewound.
-                if authority.session.wal_seq() == Some(mark.seq() + applied) {
+                if appends_landed {
                     for attempt in 0..self.config.wal_retries {
                         self.backoff(attempt);
                         self.note(|st| st.wal_retry_syncs += 1);
-                        if authority.session.retry_sync() {
+                        if session.retry_sync() {
                             return None;
                         }
                     }
                 }
-                if !authority.session.wal_can_rewind(&mark) {
+                if !session.wal_can_rewind(&mark) {
                     // A snapshot compaction ran mid-batch, so part of
                     // the batch is already durably in the snapshot —
                     // rolling back would contradict durable state.
                     // Degrade these acknowledgements instead.
-                    self.note(|st| st.non_durable_acks += applied);
+                    self.note(|st| st.non_durable_acks += acks);
                     return None;
                 }
-                let reason = match authority.session.wal_error() {
+                let reason = match session.wal_error() {
                     Some(e) => e.to_string(),
                     None => "journal unavailable".to_string(),
                 };
@@ -887,9 +642,9 @@ impl<'a> PlacementService<'a> {
                 // erases the batch's records and clears the latch, so
                 // journal and books agree again and the service keeps
                 // serving durably once the disk recovers.
-                undo(&mut authority.session);
-                let _ = authority.session.wal_rewind(&mark);
-                self.note(|st| st.durability_rejections += applied);
+                undo(session);
+                let _ = session.wal_rewind(&mark);
+                self.note(|st| st.durability_rejections += acks);
                 Some(PlacementError::Durability { reason })
             }
         }
@@ -903,335 +658,47 @@ impl<'a> PlacementService<'a> {
         }
     }
 
-    /// Forces the knobs concurrent planning requires: request-level
-    /// parallelism replaces intra-request scoring parallelism (a
-    /// scoring pool serves one search at a time). Decisions are
-    /// unaffected — parallel and serial scoring are bit-identical.
-    fn planning_request(request: &PlacementRequest) -> PlacementRequest {
-        let mut req = request.clone();
-        req.parallel = false;
-        req.score_threads = 1;
-        req
-    }
-
-    /// Phase 1: plans `topology` against `snapshot` with no lock held.
-    /// Safe to call from any number of threads concurrently.
-    ///
-    /// # Errors
-    ///
-    /// As [`Scheduler::place`] — note the failure is relative to the
-    /// snapshot's books, which may be stale;
-    /// [`place_blocking`](Self::place_blocking) re-plans such failures
-    /// against fresh state before rejecting.
-    pub fn plan(
+    /// Plans `topology` warm against the live books and commits the
+    /// decision. A panicking search (or hook) is contained as a typed
+    /// [`PlacementError::PlannerPanic`]; planning only reads the books,
+    /// so an unwind leaves them untouched.
+    fn place_locked(
         &self,
+        authority: &mut Authority<'a>,
         topology: &ApplicationTopology,
         request: &PlacementRequest,
-        snapshot: &Arc<PlanSnapshot>,
-    ) -> Result<PlannedPlacement, PlacementError> {
-        self.plan_against(topology, request, &snapshot.state, &snapshot.shared, snapshot)
-    }
-
-    /// Plans against arbitrary (`state`, `shared`) books — the
-    /// snapshot's own, or a batch's speculative overlay — stamping the
-    /// result with `origin` for epoch validation.
-    fn plan_against(
-        &self,
-        topology: &ApplicationTopology,
-        request: &PlacementRequest,
-        state: &CapacityState,
-        shared: &SessionShared,
-        origin: &Arc<PlanSnapshot>,
-    ) -> Result<PlannedPlacement, PlacementError> {
-        let req = Self::planning_request(request);
-        let evictions_before = {
-            let mut cache = lock_unpoisoned(&shared.cache);
-            cache.begin_request();
-            cache.evictions()
-        };
-        // Contain planner panics: every lock on the shared path is
-        // taken through `lock_unpoisoned`, so a panicking search (or
-        // hook) is surfaced as a typed per-request error instead of
-        // poisoning the service.
-        let result = catch_unwind(AssertUnwindSafe(|| {
+    ) -> Result<(u64, PlacementOutcome), PlacementError> {
+        let planned = catch_unwind(AssertUnwindSafe(|| {
             if let Some(hook) = &self.plan_hook {
                 hook.call(topology);
             }
-            Scheduler::new(self.infra).place_pinned_with(
-                topology,
-                state,
-                &req,
-                &vec![None; topology.node_count()],
-                Some(shared),
-            )
+            authority.session.place(topology, request)
         }));
-        let result = match result {
-            Ok(r) => r,
+        let outcome = match planned {
+            Ok(result) => result?,
             Err(payload) => {
                 self.note(|st| st.planner_panics += 1);
-                Err(PlacementError::PlannerPanic { reason: panic_reason(payload.as_ref()) })
+                return Err(PlacementError::PlannerPanic {
+                    reason: panic_reason(payload.as_ref()),
+                });
             }
         };
-        let evictions_after = lock_unpoisoned(&shared.cache).evictions();
-        let mut outcome = result?;
-        outcome.stats.session_cache_evictions = evictions_after.saturating_sub(evictions_before);
-        if outcome.stats.pods_scanned != 0 || outcome.stats.shard_fallbacks != 0 {
-            let (scanned, pruned, fallbacks) = (
-                outcome.stats.pods_scanned,
-                outcome.stats.pods_pruned,
-                outcome.stats.shard_fallbacks,
-            );
+        let stats = &outcome.stats;
+        if stats.pods_scanned != 0 || stats.shard_fallbacks != 0 {
+            let (scanned, pruned, fallbacks) =
+                (stats.pods_scanned, stats.pods_pruned, stats.shard_fallbacks);
             self.note(|st| {
                 st.pods_scanned += scanned;
                 st.pods_pruned += pruned;
                 st.shard_fallbacks += fallbacks;
             });
         }
-        let mut hosts: Vec<HostId> = outcome.placement.assignments().to_vec();
-        hosts.sort_unstable_by_key(|h| h.index());
-        hosts.dedup();
-        Ok(PlannedPlacement { outcome, snapshot: Arc::clone(origin), hosts })
+        let seq = authority.apply_commit(topology, &outcome.placement)?;
+        Ok((seq, outcome))
     }
 
-    /// Validate-commit under an already-held lock. Epoch-clean
-    /// decisions commit with exact objectives; epoch-stale ones are
-    /// re-validated by the session's all-or-nothing commit against the
-    /// live books (unless [`ServiceConfig::admit_stale`] is off). A
-    /// commit failure against books that moved since the snapshot is a
-    /// conflict; against unmoved books it is a genuine error.
-    fn validate_commit_locked(
-        &self,
-        authority: &mut Authority<'a>,
-        topology: &ApplicationTopology,
-        planned: &PlannedPlacement,
-    ) -> Result<Validated, PlacementError> {
-        if let Some(host) = authority.stale_host(planned) {
-            if !self.config.admit_stale {
-                return Ok(Validated::Conflict { host });
-            }
-            return match authority.apply_commit(topology, &planned.outcome.placement) {
-                Ok(seq) => Ok(Validated::CommittedStale { seq }),
-                Err(_) => Ok(Validated::Conflict { host }),
-            };
-        }
-        match authority.apply_commit(topology, &planned.outcome.placement) {
-            Ok(seq) => Ok(Validated::Committed { seq }),
-            Err(e) => match planned.hosts.first() {
-                Some(&host) if authority.seq != planned.snapshot.seq => {
-                    Ok(Validated::Conflict { host })
-                }
-                _ => Err(e),
-            },
-        }
-    }
-
-    /// Phase 2: validates `planned`'s host epochs and, if nothing
-    /// moved, commits it — taking the commit lock, publishing a fresh
-    /// snapshot, and (with [`ServiceConfig::durable_acks`]) fsyncing
-    /// the WAL before returning.
-    ///
-    /// # Errors
-    ///
-    /// As [`SchedulerSession::commit`], only when the snapshot was
-    /// still current (stale-snapshot commit failures surface as
-    /// [`CommitAttempt::Conflict`]); [`PlacementError::Durability`] if
-    /// the rejecting durability policy rolled the commit back.
-    pub fn try_commit(
-        &self,
-        topology: &ApplicationTopology,
-        planned: &PlannedPlacement,
-    ) -> Result<CommitAttempt, PlacementError> {
-        let mut authority = lock_unpoisoned(&self.authority);
-        let mark = authority.session.wal_mark();
-        match self.validate_commit_locked(&mut authority, topology, planned)? {
-            committed @ (Validated::Committed { .. } | Validated::CommittedStale { .. }) => {
-                let durability = self.sync_locked(&mut authority, mark, 1, |session| {
-                    let _ = session.release(topology, &planned.outcome.placement);
-                });
-                self.publish_locked(&mut authority);
-                drop(authority);
-                if let Some(err) = durability {
-                    return Err(err);
-                }
-                let seq = match committed {
-                    Validated::Committed { seq } => {
-                        self.note(|st| st.committed += 1);
-                        seq
-                    }
-                    Validated::CommittedStale { seq } => {
-                        self.note(|st| {
-                            st.committed += 1;
-                            st.stale_admissions += 1;
-                        });
-                        seq
-                    }
-                    Validated::Conflict { .. } => unreachable!("matched committed variants"),
-                };
-                Ok(CommitAttempt::Committed(ServiceOutcome {
-                    seq,
-                    outcome: planned.outcome.clone(),
-                }))
-            }
-            Validated::Conflict { host } => {
-                drop(authority);
-                self.note(|st| st.commit_conflicts += 1);
-                Ok(CommitAttempt::Conflict { host })
-            }
-        }
-    }
-
-    /// Last resort after the retry budget: plan *under* the commit
-    /// lock, warm against the live session, where no concurrent commit
-    /// can invalidate the decision.
-    fn commit_serialized(
-        &self,
-        topology: &ApplicationTopology,
-        request: &PlacementRequest,
-        conflicts: u64,
-        replans: u64,
-    ) -> Result<ServiceOutcome, PlacementError> {
-        let req = Self::planning_request(request);
-        self.note(|st| st.serialized_fallbacks += 1);
-        let mut authority = lock_unpoisoned(&self.authority);
-        let mark = authority.session.wal_mark();
-        // The serialized path plans on the same ladder as the
-        // optimistic one: a panicking search (or hook) must yield a
-        // typed error here too, or a sticky panic would sneak through
-        // the fallback.
-        let planned = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(hook) = &self.plan_hook {
-                hook.call(topology);
-            }
-            authority.session.place(topology, &req)
-        }));
-        let planned = match planned {
-            Ok(r) => r,
-            Err(payload) => {
-                self.note(|st| st.planner_panics += 1);
-                Err(PlacementError::PlannerPanic { reason: panic_reason(payload.as_ref()) })
-            }
-        };
-        let result = planned.and_then(|outcome| {
-            authority.apply_commit(topology, &outcome.placement).map(|seq| (seq, outcome))
-        });
-        match result {
-            Ok((seq, mut outcome)) => {
-                let durability = self.sync_locked(&mut authority, mark, 1, |session| {
-                    let _ = session.release(topology, &outcome.placement);
-                });
-                self.publish_locked(&mut authority);
-                drop(authority);
-                if let Some(err) = durability {
-                    return Err(err);
-                }
-                self.note(|st| st.committed += 1);
-                outcome.stats.commit_conflicts = conflicts;
-                outcome.stats.replans = replans;
-                Ok(ServiceOutcome { seq, outcome })
-            }
-            Err(e) => {
-                drop(authority);
-                self.note(|st| st.rejected += 1);
-                Err(e)
-            }
-        }
-    }
-
-    /// The full optimistic loop from a given starting snapshot:
-    /// plan → validate-commit → re-plan on conflict (bounded) →
-    /// serialized fallback. `conflicts`/`replans` carry counts from
-    /// attempts the caller already burned (the batch path).
-    fn place_from(
-        &self,
-        topology: &ApplicationTopology,
-        request: &PlacementRequest,
-        mut snapshot: Arc<PlanSnapshot>,
-        mut conflicts: u64,
-        mut replans: u64,
-    ) -> Result<ServiceOutcome, PlacementError> {
-        loop {
-            if replans > u64::from(self.config.max_retries) {
-                return self.commit_serialized(topology, request, conflicts, replans);
-            }
-            let planned = match self.plan(topology, request, &snapshot) {
-                Ok(p) => p,
-                Err(e) => {
-                    // A plan failure against *current* books is a
-                    // genuine rejection; against stale books it gets a
-                    // retry like any other loser.
-                    if self.seq() == snapshot.seq {
-                        self.note(|st| st.rejected += 1);
-                        return Err(e);
-                    }
-                    replans += 1;
-                    self.note(|st| st.replans += 1);
-                    snapshot = self.snapshot();
-                    continue;
-                }
-            };
-            match self.try_commit(topology, &planned)? {
-                CommitAttempt::Committed(mut outcome) => {
-                    outcome.outcome.stats.commit_conflicts = conflicts;
-                    outcome.outcome.stats.replans = replans;
-                    return Ok(outcome);
-                }
-                CommitAttempt::Conflict { .. } => {
-                    conflicts += 1;
-                    replans += 1;
-                    self.note(|st| st.replans += 1);
-                    snapshot = self.snapshot();
-                }
-            }
-        }
-    }
-
-    /// Places `topology` through the full optimistic pipeline,
-    /// blocking until it commits or is rejected against current books.
-    /// Any number of threads may call this concurrently.
-    ///
-    /// # Errors
-    ///
-    /// As [`Scheduler::place`], evaluated against current books.
-    pub fn place_blocking(
-        &self,
-        topology: &ApplicationTopology,
-        request: &PlacementRequest,
-    ) -> Result<ServiceOutcome, PlacementError> {
-        let snapshot = self.snapshot();
-        self.place_from(topology, request, snapshot, 0, 0)
-    }
-
-    /// Releases a committed tenant. Releases never conflict — they are
-    /// applied directly under the commit lock and take the next
-    /// sequence number.
-    ///
-    /// # Errors
-    ///
-    /// As [`SchedulerSession::release`]; [`PlacementError::Durability`]
-    /// if the rejecting durability policy rolled the release back.
-    pub fn release_blocking(
-        &self,
-        topology: &ApplicationTopology,
-        placement: &Placement,
-    ) -> Result<u64, PlacementError> {
-        let mut authority = lock_unpoisoned(&self.authority);
-        let mark = authority.session.wal_mark();
-        let seq = authority.apply_release(topology, placement)?;
-        let durability = self.sync_locked(&mut authority, mark, 1, |session| {
-            let _ = session.commit(topology, placement);
-        });
-        self.publish_locked(&mut authority);
-        drop(authority);
-        if let Some(err) = durability {
-            return Err(err);
-        }
-        self.note(|st| st.released += 1);
-        Ok(seq)
-    }
-
-    /// Runs the batched service front-end: spawns
-    /// [`ServiceConfig::planners`] planner threads behind a FIFO
-    /// queue, hands `driver` a [`ServiceHandle`] to submit jobs
+    /// Runs the service front-end: spawns the writer thread behind a
+    /// FIFO queue, hands `driver` a [`ServiceHandle`] to submit jobs
     /// through, and drains the queue before returning `driver`'s
     /// result. Every submitted ticket is resolved by then.
     pub fn serve<R>(&self, driver: impl FnOnce(&ServiceHandle<'_, 'a>) -> R) -> R {
@@ -1240,25 +707,23 @@ impl<'a> PlacementService<'a> {
             cv: Condvar::new(),
         };
         let result = std::thread::scope(|scope| {
-            for _ in 0..self.config.planners.max(1) {
-                scope.spawn(|| self.planner_loop(&shared));
-            }
+            scope.spawn(|| self.writer_loop(&shared));
             // Close the queue when the driver returns *or unwinds* —
-            // otherwise the planners would wait forever and the scope
+            // otherwise the writer would wait forever and the scope
             // would never join.
             let _close = CloseGuard(&shared);
             let handle = ServiceHandle { service: self, shared: &shared };
             driver(&handle)
         });
-        // Graceful shutdown: the scope joining means every planner
-        // drained the queue and exited; one final fsync makes the tail
-        // durable even without `durable_acks` (which already synced
-        // per batch). Not counted as a group-commit sync.
+        // Graceful shutdown: the scope joining means the writer drained
+        // the queue and exited; one final fsync makes the tail durable
+        // even without `durable_acks` (which already synced per
+        // batch). Not counted as a group-commit sync.
         lock_unpoisoned(&self.authority).session.sync_wal();
         result
     }
 
-    fn planner_loop(&self, shared: &ServeShared) {
+    fn writer_loop(&self, shared: &ServeShared) {
         loop {
             let (batch, depth): (Vec<Job>, usize) = {
                 let mut queue = lock_unpoisoned(&shared.queue);
@@ -1280,7 +745,7 @@ impl<'a> PlacementService<'a> {
             };
             self.update_degrade(depth);
             // Safety net under the whole batch: planning panics are
-            // already contained in `plan_against`, but nothing that
+            // already contained in `place_locked`, but nothing that
             // panics may strand a ticket — the driver would hang on it
             // forever. Tickets the batch resolved keep their response;
             // the rest get the typed panic error.
@@ -1300,11 +765,8 @@ impl<'a> PlacementService<'a> {
         }
     }
 
-    /// One admission batch: plan every member against a single
-    /// snapshot, screen within-batch host-set overlap up front, commit
-    /// the survivors under one lock acquisition (one snapshot
-    /// publication, one group-commit fsync), then push the losers
-    /// through the individual retry path.
+    /// One admission batch: every member in queue order against the
+    /// live books, one group-commit fsync, then the acks.
     fn process_batch(&self, batch: Vec<Job>) {
         self.note(|st| {
             st.batches += 1;
@@ -1313,45 +775,35 @@ impl<'a> PlacementService<'a> {
             }
             st.batch_sizes[batch.len()] += 1;
         });
-        let snapshot = self.snapshot();
-
-        // Phase 1: plan all arrivals with no lock held. Multi-member
-        // batches plan against a speculative overlay of the snapshot:
-        // each member's decision (place or release) is applied
-        // virtually before the next member plans, so members stop
-        // colliding with each other inside the batch. Overlaid plans
-        // are epoch-stale by construction relative to the snapshot the
-        // authority will validate against, which is exactly what the
-        // stale-admission path handles — in strict mode the overlay is
-        // skipped so epoch validation stays snapshot-exact.
-        // (A batch holds at most `config.batch` of these, briefly.)
-        #[allow(clippy::large_enum_variant)]
-        enum Member {
-            Place {
-                topology: Arc<ApplicationTopology>,
-                request: PlacementRequest,
-                ticket: Arc<TicketInner>,
-                plan: Result<PlannedPlacement, PlacementError>,
-                overlap: bool,
-                degraded: bool,
-            },
-            Release {
-                topology: Arc<ApplicationTopology>,
-                placement: Placement,
-                ticket: Arc<TicketInner>,
-            },
-        }
         let level = self.degrade_level.load(Ordering::Relaxed);
-        let mut view = (self.config.admit_stale && batch.len() > 1).then(|| BatchView {
-            state: snapshot.state.clone(),
-            shared: snapshot.shared.clone_for_snapshot(),
-        });
-        let scheduler = Scheduler::new(self.infra);
-        let mut shed_deadline = 0u64;
-        let mut degraded_decisions = 0u64;
-        let mut members: Vec<Member> = Vec::new();
+        // Under the Reject policy every applied mutation records its
+        // inverse so a failed group commit can roll the whole batch
+        // back off the books.
+        let log_undo = self.config.wal_policy == DurabilityPolicy::Reject;
+        let mut undo_log: Vec<(Arc<ApplicationTopology>, Placement, bool)> = Vec::new();
+        let mut acks: Vec<(Arc<TicketInner>, ServiceResponse)> = Vec::with_capacity(batch.len());
+        let (mut committed, mut released, mut rejected) = (0u64, 0u64, 0u64);
+        let (mut shed_deadline, mut degraded_decisions) = (0u64, 0u64);
+
+        let mut authority = lock_unpoisoned(&self.authority);
+        let mark = authority.session.wal_mark();
         for job in batch {
             match job {
+                Job::Release { topology, placement, ticket } => {
+                    match authority.apply_release(&topology, &placement) {
+                        Ok(seq) => {
+                            released += 1;
+                            if log_undo {
+                                undo_log.push((topology, placement, false));
+                            }
+                            acks.push((ticket, ServiceResponse::Released { seq }));
+                        }
+                        Err(e) => {
+                            rejected += 1;
+                            acks.push((ticket, ServiceResponse::Failed(e)));
+                        }
+                    }
+                }
                 Job::Place { topology, request, ticket, stamp } => {
                     // Deadline shed: a request whose budget was already
                     // burned waiting in the queue gets a typed error
@@ -1359,235 +811,49 @@ impl<'a> PlacementService<'a> {
                     let budget_ms = self.config.deadline_ms;
                     if budget_ms > 0 && self.budget_elapsed_ms(stamp) >= budget_ms {
                         shed_deadline += 1;
-                        deliver(
-                            &ticket,
-                            ServiceResponse::Failed(PlacementError::DeadlineExceeded { budget_ms }),
-                        );
+                        let shed = PlacementError::DeadlineExceeded { budget_ms };
+                        acks.push((ticket, ServiceResponse::Failed(shed)));
                         continue;
                     }
                     // Engine-ladder degradation: under overload the
                     // request plans with a cheaper search than it asked
                     // for, flagged in its stats.
-                    let (request, degraded) = match self.degraded_request(&request, level) {
-                        Some(down) => {
-                            degraded_decisions += 1;
-                            (down, true)
-                        }
-                        None => (request, false),
-                    };
-                    let mut plan = match view.as_mut() {
-                        Some(view) => {
-                            let plan = self.plan_against(
-                                &topology,
-                                &request,
-                                &view.state,
-                                &view.shared,
-                                &snapshot,
-                            );
-                            if let Ok(planned) = &plan {
-                                if scheduler
-                                    .commit(&topology, &planned.outcome.placement, &mut view.state)
-                                    .is_ok()
-                                {
-                                    view.refresh_hosts(planned.hosts.iter().copied());
-                                }
+                    let degraded = self.degraded_request(&request, level);
+                    degraded_decisions += u64::from(degraded.is_some());
+                    let request = degraded.as_ref().unwrap_or(&request);
+                    match self.place_locked(&mut authority, &topology, request) {
+                        Ok((seq, mut outcome)) => {
+                            committed += 1;
+                            outcome.stats.degraded |= degraded.is_some();
+                            if log_undo {
+                                undo_log.push((topology, outcome.placement.clone(), true));
                             }
-                            plan
+                            let placed = ServiceOutcome { seq, outcome };
+                            acks.push((ticket, ServiceResponse::Placed(placed)));
                         }
-                        None => self.plan(&topology, &request, &snapshot),
-                    };
-                    if degraded {
-                        if let Ok(planned) = &mut plan {
-                            planned.outcome.stats.degraded = true;
-                        }
-                    }
-                    members.push(Member::Place {
-                        topology,
-                        request,
-                        ticket,
-                        plan,
-                        overlap: false,
-                        degraded,
-                    });
-                }
-                Job::Release { topology, placement, ticket } => {
-                    if let Some(view) = view.as_mut() {
-                        if scheduler.release(&topology, &placement, &mut view.state).is_ok() {
-                            let mut hosts: Vec<HostId> = placement.assignments().to_vec();
-                            hosts.sort_unstable_by_key(|h| h.index());
-                            hosts.dedup();
-                            view.refresh_hosts(hosts);
+                        Err(e) => {
+                            rejected += 1;
+                            acks.push((ticket, ServiceResponse::Failed(e)));
                         }
                     }
-                    members.push(Member::Release { topology, placement, ticket });
                 }
             }
         }
-        if shed_deadline > 0 || degraded_decisions > 0 {
-            self.note(|st| {
-                st.shed_deadline += shed_deadline;
-                st.degraded_decisions += degraded_decisions;
-            });
-        }
-
-        // Up-front overlap screen: members claim their host sets in
-        // batch order; a later plan touching an already-claimed host
-        // will be epoch-stale once the earlier member commits. With
-        // stale admission on, the flag routes it through live-book
-        // re-validation; in strict mode it goes straight to the retry
-        // path without entering the lock.
-        let mut claimed = vec![false; self.infra.host_count()];
-        let mut overlaps = 0u64;
-        for member in &mut members {
-            match member {
-                Member::Release { placement, .. } => {
-                    for &host in placement.assignments() {
-                        claimed[host.index()] = true;
-                    }
-                }
-                Member::Place { plan: Ok(planned), overlap, .. } => {
-                    if planned.hosts.iter().any(|h| claimed[h.index()]) {
-                        *overlap = true;
-                        overlaps += 1;
+        let durability = if committed + released > 0 {
+            self.sync_locked(&mut authority.session, mark, committed + released, |session| {
+                for (topology, placement, was_commit) in undo_log.iter().rev() {
+                    if *was_commit {
+                        let _ = session.release(topology, placement);
                     } else {
-                        for &host in &planned.hosts {
-                            claimed[host.index()] = true;
-                        }
+                        let _ = session.commit(topology, placement);
                     }
                 }
-                Member::Place { .. } => {}
-            }
-        }
+            })
+        } else {
+            None
+        };
+        drop(authority);
 
-        // Phase 2: one commit-lock acquisition for the whole batch.
-        let mut acks: Vec<(Arc<TicketInner>, ServiceResponse)> = Vec::new();
-        #[allow(clippy::type_complexity)]
-        let mut losers: Vec<(
-            Arc<ApplicationTopology>,
-            PlacementRequest,
-            Arc<TicketInner>,
-            u64,
-            bool,
-        )> = Vec::new();
-        let mut committed = 0u64;
-        let mut released = 0u64;
-        let mut rejected = 0u64;
-        let mut conflicts = 0u64;
-        let mut stale = 0u64;
-        let mut durability = None;
-        {
-            let mut authority = lock_unpoisoned(&self.authority);
-            let mark = authority.session.wal_mark();
-            // Under the Reject policy every applied mutation records
-            // its inverse so a failed group-commit fsync can roll the
-            // whole batch back off the books.
-            let log_undo = matches!(self.config.wal_policy, DurabilityPolicy::Reject);
-            let mut undo_log: Vec<(Arc<ApplicationTopology>, Placement, bool)> = Vec::new();
-            let mut mutated = false;
-            for member in members {
-                match member {
-                    Member::Release { topology, placement, ticket } => {
-                        match authority.apply_release(&topology, &placement) {
-                            Ok(seq) => {
-                                mutated = true;
-                                released += 1;
-                                if log_undo {
-                                    undo_log.push((topology, placement, false));
-                                }
-                                acks.push((ticket, ServiceResponse::Released { seq }));
-                            }
-                            Err(e) => {
-                                rejected += 1;
-                                acks.push((ticket, ServiceResponse::Failed(e)));
-                            }
-                        }
-                    }
-                    Member::Place { topology, request, ticket, plan, overlap, degraded } => {
-                        match plan {
-                            Ok(planned) if self.config.admit_stale || !overlap => {
-                                match self.validate_commit_locked(
-                                    &mut authority,
-                                    &topology,
-                                    &planned,
-                                ) {
-                                    Ok(
-                                        v @ (Validated::Committed { .. }
-                                        | Validated::CommittedStale { .. }),
-                                    ) => {
-                                        let seq = match v {
-                                            Validated::Committed { seq } => seq,
-                                            Validated::CommittedStale { seq } => {
-                                                stale += 1;
-                                                seq
-                                            }
-                                            Validated::Conflict { .. } => {
-                                                unreachable!("matched committed variants")
-                                            }
-                                        };
-                                        mutated = true;
-                                        committed += 1;
-                                        if log_undo {
-                                            undo_log.push((
-                                                Arc::clone(&topology),
-                                                planned.outcome.placement.clone(),
-                                                true,
-                                            ));
-                                        }
-                                        let mut outcome = planned.outcome;
-                                        outcome.stats.commit_conflicts = 0;
-                                        outcome.stats.replans = 0;
-                                        acks.push((
-                                            ticket,
-                                            ServiceResponse::Placed(ServiceOutcome {
-                                                seq,
-                                                outcome,
-                                            }),
-                                        ));
-                                    }
-                                    Ok(Validated::Conflict { .. }) => {
-                                        conflicts += 1;
-                                        losers.push((topology, request, ticket, 1, degraded));
-                                    }
-                                    Err(e) => {
-                                        rejected += 1;
-                                        acks.push((ticket, ServiceResponse::Failed(e)));
-                                    }
-                                }
-                            }
-                            Ok(_) => {
-                                // Strict-mode overlap loser: counted as the
-                                // conflict it would have been.
-                                conflicts += 1;
-                                losers.push((topology, request, ticket, 1, degraded));
-                            }
-                            Err(e) => {
-                                if authority.seq == snapshot.seq {
-                                    rejected += 1;
-                                    acks.push((ticket, ServiceResponse::Failed(e)));
-                                } else {
-                                    losers.push((topology, request, ticket, 0, degraded));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if mutated {
-                // Sync *before* publishing: if the Reject policy rolls
-                // the batch back, readers never see the undone books.
-                durability =
-                    self.sync_locked(&mut authority, mark, committed + released, |session| {
-                        for (topology, placement, was_commit) in undo_log.iter().rev() {
-                            if *was_commit {
-                                let _ = session.release(topology, placement);
-                            } else {
-                                let _ = session.commit(topology, placement);
-                            }
-                        }
-                    });
-                self.publish_locked(&mut authority);
-            }
-        }
         if let Some(err) = &durability {
             // The batch's mutations were rolled back — convert every
             // would-be ack into the typed durability rejection.
@@ -1599,48 +865,24 @@ impl<'a> PlacementService<'a> {
             }
             committed = 0;
             released = 0;
-            stale = 0;
         }
         self.note(|st| {
             st.committed += committed;
             st.released += released;
             st.rejected += rejected;
-            st.commit_conflicts += conflicts;
-            st.overlap_conflicts += overlaps;
-            st.stale_admissions += stale;
-            // Every conflict loser re-plans in phase 4; count those
-            // re-plans here so the global counter matches the sum of
-            // the per-request `stats.replans` the losers will report.
-            st.replans += conflicts;
+            st.shed_deadline += shed_deadline;
+            st.degraded_decisions += degraded_decisions;
         });
-
-        // Phase 3: responses — after the group-commit fsync, so a
-        // delivered `Placed` is durable.
+        // Responses only after the group-commit fsync, so a delivered
+        // `Placed` is durable.
         for (ticket, response) in acks {
-            deliver(&ticket, response);
-        }
-
-        // Phase 4: losers re-plan individually against fresh snapshots.
-        // A loser that planned degraded re-plans with the same degraded
-        // request, so the flag stays truthful on its final outcome.
-        for (topology, request, ticket, burned, degraded) in losers {
-            let response =
-                match self.place_from(&topology, &request, self.snapshot(), burned, burned) {
-                    Ok(mut outcome) => {
-                        if degraded {
-                            outcome.outcome.stats.degraded = true;
-                        }
-                        ServiceResponse::Placed(outcome)
-                    }
-                    Err(e) => ServiceResponse::Failed(e),
-                };
             deliver(&ticket, response);
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// The batched front-end: queue, jobs, tickets
+// The front-end: queue, jobs, tickets
 // ---------------------------------------------------------------------------
 
 struct ServeQueue {
@@ -1653,8 +895,8 @@ struct ServeShared {
     cv: Condvar,
 }
 
-/// Closes the queue on drop so planners drain and exit even when the
-/// driver unwinds.
+/// Closes the queue on drop so the writer drains and exits even when
+/// the driver unwinds.
 struct CloseGuard<'s>(&'s ServeShared);
 
 impl Drop for CloseGuard<'_> {
@@ -1832,10 +1074,12 @@ impl Ticket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::defrag::MaintenanceConfig;
     use crate::request::Algorithm;
+    use crate::scheduler::Scheduler;
     use crate::validate::verify_placement;
     use crate::wal::{self, Wal, WalFault, WalFaultHook, WalIoOp, WalOptions};
-    use ostro_datacenter::InfrastructureBuilder;
+    use ostro_datacenter::{CapacityState, HostId, InfrastructureBuilder};
     use ostro_model::{Bandwidth, Resources, TopologyBuilder};
 
     fn infra_flat(racks: usize, hosts: usize) -> Infrastructure {
@@ -1873,86 +1117,152 @@ mod tests {
         PlacementRequest { algorithm: Algorithm::Greedy, ..PlacementRequest::default() }
     }
 
-    /// Replays committed decisions in commit-sequence order over the
-    /// base state, verifying each was feasible at its commit point,
-    /// and asserts the fold equals `final_state` — the service's
+    /// Runs `shapes` through [`PlacementService::process_batch`] as one
+    /// admission batch of placements and returns the responses in order.
+    fn place_batch(
+        service: &PlacementService<'_>,
+        shapes: &[ApplicationTopology],
+        req: &PlacementRequest,
+    ) -> Vec<ServiceResponse> {
+        let tickets: Vec<Arc<TicketInner>> = shapes.iter().map(|_| Arc::default()).collect();
+        service.process_batch(
+            shapes
+                .iter()
+                .zip(&tickets)
+                .map(|(shape, ticket)| Job::Place {
+                    topology: Arc::new(shape.clone()),
+                    request: req.clone(),
+                    ticket: Arc::clone(ticket),
+                    stamp: BudgetStamp::Wall(Instant::now()),
+                })
+                .collect(),
+        );
+        tickets.into_iter().map(|t| Ticket(t).wait()).collect()
+    }
+
+    fn placed(response: ServiceResponse) -> ServiceOutcome {
+        match response {
+            ServiceResponse::Placed(outcome) => outcome,
+            other => panic!("expected a committed placement: {other:?}"),
+        }
+    }
+
+    /// One acknowledged mutation: its commit sequence number, the
+    /// tenant, its placement, and whether it was a commit (else a
+    /// release).
+    type Acked = (u64, Arc<ApplicationTopology>, Placement, bool);
+
+    /// Replays acknowledged mutations in commit-sequence order over the
+    /// base state, verifying each commit was feasible at its commit
+    /// point, and asserts the fold equals `final_state` — the service's
     /// linearizability contract.
     fn assert_linearizable(
         infra: &Infrastructure,
         base: &CapacityState,
-        mut events: Vec<(u64, ApplicationTopology, Option<Placement>)>,
+        mut events: Vec<Acked>,
         final_state: &CapacityState,
     ) {
-        events.sort_by_key(|(seq, _, _)| *seq);
+        events.sort_by_key(|(seq, ..)| *seq);
         let scheduler = Scheduler::new(infra);
         let mut state = base.clone();
         let mut last_seq = 0;
-        for (seq, topology, placement) in &events {
+        for (seq, topology, placement, is_commit) in &events {
             assert!(*seq > last_seq, "commit sequence numbers must be strictly increasing");
             last_seq = *seq;
-            match placement {
-                Some(p) => {
-                    let violations = verify_placement(topology, infra, &state, p).unwrap();
-                    assert!(
-                        violations.is_empty(),
-                        "decision at seq {seq} infeasible at its commit point: {violations:?}"
-                    );
-                    scheduler.commit(topology, p, &mut state).unwrap();
-                }
-                None => {
-                    // A release event: placement is carried in the
-                    // topology slot's paired entry; handled by caller.
-                    unreachable!("release events carry placements");
-                }
+            if *is_commit {
+                let violations = verify_placement(topology, infra, &state, placement).unwrap();
+                assert!(
+                    violations.is_empty(),
+                    "decision at seq {seq} infeasible at its commit point: {violations:?}"
+                );
+                scheduler.commit(topology, placement, &mut state).unwrap();
+            } else {
+                scheduler.release(topology, placement, &mut state).unwrap();
             }
         }
         assert_eq!(&state, final_state, "serial replay in commit order diverged from the books");
     }
 
-    /// With one planner and batch size 1 the service path must be
-    /// decision-identical to the serial warm session.
+    /// Through `serve`, at batch 1 and at the default batch, decisions
+    /// are identical to a warm session serving the same schedule one
+    /// request at a time — including a release and a re-placement
+    /// submitted back to back, which can share a batch.
     #[test]
-    fn single_planner_service_matches_serial_session() {
+    fn served_decisions_match_the_serial_session_at_any_batch() {
         let infra = infra_flat(2, 4);
-        let shapes = [hub_app("a"), pair_app("b", 2), hub_app("c"), pair_app("d", 4), hub_app("e")];
+        let shapes: Vec<Arc<ApplicationTopology>> =
+            [hub_app("a"), pair_app("b", 2), hub_app("c"), pair_app("d", 4), hub_app("e")]
+                .into_iter()
+                .map(Arc::new)
+                .collect();
         let req = request();
 
-        // Serial warm session, with the same forced planning knobs.
-        let serial_req = PlacementService::planning_request(&req);
         let mut session = SchedulerSession::new(&infra);
         let mut serial: Vec<Placement> = Vec::new();
         for shape in &shapes {
-            let outcome = session.place(shape, &serial_req).unwrap();
+            let outcome = session.place(shape, &req).unwrap();
             session.commit(shape, &outcome.placement).unwrap();
             serial.push(outcome.placement);
         }
         session.release(&shapes[1], &serial[1]).unwrap();
-        let outcome = session.place(&shapes[1], &serial_req).unwrap();
+        let outcome = session.place(&shapes[1], &req).unwrap();
         session.commit(&shapes[1], &outcome.placement).unwrap();
-        let serial_replaced = outcome.placement.clone();
+        let serial_replaced = outcome.placement;
         let serial_state = session.into_state();
 
-        // The same schedule through the service pipeline.
-        let config = ServiceConfig { planners: 1, batch: 1, ..ServiceConfig::default() };
-        let service = PlacementService::new(SchedulerSession::new(&infra), config);
-        let mut placed: Vec<Placement> = Vec::new();
-        for shape in &shapes {
-            let outcome = service.place_blocking(shape, &req).unwrap();
-            assert_eq!(outcome.outcome.stats.commit_conflicts, 0);
-            placed.push(outcome.outcome.placement.clone());
+        for batch in [1, ServiceConfig::default().batch] {
+            let config = ServiceConfig { batch, ..ServiceConfig::default() };
+            let service = PlacementService::new(SchedulerSession::new(&infra), config);
+            let (placed_all, replaced) = service.serve(|handle| {
+                let tickets: Vec<Ticket> =
+                    shapes.iter().map(|s| handle.submit(Arc::clone(s), req.clone())).collect();
+                let placed_all: Vec<Placement> =
+                    tickets.into_iter().map(|t| placed(t.wait()).outcome.placement).collect();
+                let release = handle.submit_release(Arc::clone(&shapes[1]), placed_all[1].clone());
+                let again = handle.submit(Arc::clone(&shapes[1]), req.clone());
+                assert!(matches!(release.wait(), ServiceResponse::Released { .. }));
+                (placed_all, placed(again.wait()).outcome.placement)
+            });
+            assert_eq!(placed_all, serial, "batch {batch}: decisions diverged from the session");
+            assert_eq!(replaced, serial_replaced, "batch {batch}: re-placement diverged");
+            assert_eq!(service.into_session().into_state(), serial_state, "batch {batch}");
         }
-        service.release_blocking(&shapes[1], &placed[1]).unwrap();
-        let replaced = service.place_blocking(&shapes[1], &req).unwrap();
-
-        assert_eq!(placed, serial, "service decisions diverged from serial session");
-        assert_eq!(replaced.outcome.placement, serial_replaced);
-        assert_eq!(service.into_session().into_state(), serial_state);
     }
 
-    /// The linearizability property: N concurrent requests committed
-    /// through the service produce books identical to a serial replay
-    /// of the committed decisions in commit-sequence order, each
-    /// feasible at its commit point.
+    /// One driver thread of [`concurrent_commits_linearize`]: submits
+    /// `count` placements, releasing every other tenant it placed, and
+    /// returns what the service acknowledged.
+    fn drive(
+        handle: &ServiceHandle<'_, '_>,
+        shapes: &[Arc<ApplicationTopology>],
+        req: &PlacementRequest,
+        driver: usize,
+        count: usize,
+    ) -> Vec<Acked> {
+        let mut acked = Vec::new();
+        for i in 0..count {
+            let shape = Arc::clone(&shapes[(driver + i) % shapes.len()]);
+            let ServiceResponse::Placed(outcome) =
+                handle.submit(Arc::clone(&shape), req.clone()).wait()
+            else {
+                continue;
+            };
+            let placement = outcome.outcome.placement;
+            acked.push((outcome.seq, Arc::clone(&shape), placement.clone(), true));
+            if i % 2 == 1 {
+                match handle.submit_release(Arc::clone(&shape), placement.clone()).wait() {
+                    ServiceResponse::Released { seq } => acked.push((seq, shape, placement, false)),
+                    other => panic!("release failed: {other:?}"),
+                }
+            }
+        }
+        acked
+    }
+
+    /// The linearizability property: several driver threads submitting
+    /// placements and releases through one `serve` produce books
+    /// identical to a serial replay of the acknowledged mutations in
+    /// commit-sequence order, each commit feasible at its commit point.
     #[test]
     fn concurrent_commits_linearize() {
         let infra = infra_flat(4, 8);
@@ -1967,228 +1277,26 @@ mod tests {
                 })
             })
             .collect();
-        let config =
-            ServiceConfig { planners: 4, batch: 2, max_retries: 2, ..ServiceConfig::default() };
+        let config = ServiceConfig { batch: 2, ..ServiceConfig::default() };
         let service =
             PlacementService::new(SchedulerSession::with_state(&infra, base.clone()), config);
 
-        let arrivals = 24usize;
-        let responses: Vec<(usize, ServiceResponse)> = service.serve(|handle| {
-            let tickets: Vec<(usize, Ticket)> = (0..arrivals)
-                .map(|i| (i, handle.submit(Arc::clone(&shapes[i % shapes.len()]), req.clone())))
-                .collect();
-            tickets.into_iter().map(|(i, t)| (i, t.wait())).collect()
+        let drivers = 4usize;
+        let per_driver = 6usize;
+        let (shapes, req) = (&shapes, &req);
+        let events: Vec<Acked> = service.serve(|handle| {
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..drivers)
+                    .map(|d| scope.spawn(move || drive(handle, shapes, req, d, per_driver)))
+                    .collect();
+                workers.into_iter().flat_map(|w| w.join().expect("driver panicked")).collect()
+            })
         });
 
-        let mut events: Vec<(u64, ApplicationTopology, Option<Placement>)> = Vec::new();
-        let mut committed = 0;
-        for (i, response) in responses {
-            match response {
-                ServiceResponse::Placed(outcome) => {
-                    committed += 1;
-                    events.push((
-                        outcome.seq,
-                        (*shapes[i % shapes.len()]).clone(),
-                        Some(outcome.outcome.placement),
-                    ));
-                }
-                ServiceResponse::Failed(_) => {}
-                ServiceResponse::Released { .. } => panic!("no releases submitted"),
-            }
-        }
-        assert!(committed >= arrivals / 2, "too many rejections: {committed}/{arrivals}");
+        let commits = events.iter().filter(|e| e.3).count();
+        assert!(commits >= drivers * per_driver / 2, "too many rejections: {commits}");
         let final_state = service.into_session().into_state();
         assert_linearizable(&infra, &base, events, &final_state);
-    }
-
-    /// A deterministic forced conflict in strict mode: plan against a
-    /// snapshot, let a competing commit touch the planned hosts, and
-    /// watch validation reject the stale plan; then run the full retry
-    /// loop from the same stale snapshot and watch it re-plan once and
-    /// commit.
-    #[test]
-    fn forced_conflict_is_detected_and_retried() {
-        let infra = infra_flat(1, 2);
-        let req = request();
-        let config = ServiceConfig { admit_stale: false, ..ServiceConfig::default() };
-        let service = PlacementService::new(SchedulerSession::new(&infra), config);
-
-        // Plan A against the initial snapshot, then commit B — a tiny
-        // DC guarantees host-set overlap.
-        let stale = service.snapshot();
-        let app_a = pair_app("a", 2);
-        let planned = service.plan(&app_a, &req, &stale).unwrap();
-        let app_b = pair_app("b", 2);
-        service.place_blocking(&app_b, &req).unwrap();
-
-        match service.try_commit(&app_a, &planned).unwrap() {
-            CommitAttempt::Conflict { host } => {
-                assert!(planned.hosts().contains(&host), "conflict must name a planned host");
-            }
-            CommitAttempt::Committed(_) => panic!("stale plan passed validation"),
-        }
-        assert_eq!(service.stats().commit_conflicts, 1);
-
-        // The loop from the same stale snapshot: one conflict, one
-        // re-plan, then commit.
-        let outcome = service.place_from(&app_a, &req, stale, 0, 0).unwrap();
-        assert_eq!(outcome.outcome.stats.commit_conflicts, 1);
-        assert_eq!(outcome.outcome.stats.replans, 1);
-        let stats = service.stats();
-        assert_eq!(stats.commit_conflicts, 2);
-        assert_eq!(stats.replans, 1);
-        assert_eq!(stats.serialized_fallbacks, 0);
-        assert_eq!(stats.committed, 2);
-    }
-
-    /// With a zero retry budget a conflicted request goes straight to
-    /// the serialized fallback — and still commits.
-    #[test]
-    fn exhausted_retry_budget_falls_back_to_serialized_planning() {
-        let infra = infra_flat(1, 2);
-        let req = request();
-        let config =
-            ServiceConfig { max_retries: 0, admit_stale: false, ..ServiceConfig::default() };
-        let service = PlacementService::new(SchedulerSession::new(&infra), config);
-
-        let stale = service.snapshot();
-        service.place_blocking(&pair_app("winner", 2), &req).unwrap();
-        let outcome = service.place_from(&pair_app("loser", 2), &req, stale, 0, 0).unwrap();
-        assert_eq!(outcome.outcome.stats.commit_conflicts, 1);
-        let stats = service.stats();
-        assert_eq!(stats.serialized_fallbacks, 1);
-        assert_eq!(stats.committed, 2);
-    }
-
-    /// The batch path flags within-batch host-set overlap up front;
-    /// with stale admission the overlapping member re-validates against
-    /// the live books under the same lock and commits without a
-    /// re-plan, with the histogram recording the batch size.
-    #[test]
-    fn batch_overlap_detected_up_front() {
-        let infra = infra_flat(1, 2);
-        let req = request();
-        let config = ServiceConfig { planners: 1, batch: 4, ..ServiceConfig::default() };
-        let service = PlacementService::new(SchedulerSession::new(&infra), config);
-
-        let a = Arc::new(pair_app("a", 2));
-        let b = Arc::new(pair_app("b", 2));
-        let ta = Arc::new(TicketInner::default());
-        let tb = Arc::new(TicketInner::default());
-        service.process_batch(vec![
-            Job::Place {
-                topology: Arc::clone(&a),
-                request: req.clone(),
-                ticket: Arc::clone(&ta),
-                stamp: BudgetStamp::Wall(Instant::now()),
-            },
-            Job::Place {
-                topology: Arc::clone(&b),
-                request: req.clone(),
-                ticket: Arc::clone(&tb),
-                stamp: BudgetStamp::Wall(Instant::now()),
-            },
-        ]);
-        let ra = Ticket(ta).wait();
-        let rb = Ticket(tb).wait();
-        assert!(matches!(ra, ServiceResponse::Placed(_)), "first member must commit: {ra:?}");
-        assert!(matches!(rb, ServiceResponse::Placed(_)), "overlap member must commit: {rb:?}");
-        let stats = service.stats();
-        assert_eq!(stats.overlap_conflicts, 1, "overlap must be caught before the lock");
-        assert_eq!(stats.stale_admissions, 1, "the books still fit both pairs");
-        assert_eq!(stats.commit_conflicts, 0);
-        assert_eq!(stats.replans, 0);
-        assert_eq!(stats.batches, 1);
-        assert_eq!(stats.batch_sizes, vec![0, 0, 1]);
-        assert_eq!(stats.committed, 2);
-    }
-
-    /// Strict mode sends the within-batch overlap member to the retry
-    /// path instead, where it re-plans and commits.
-    #[test]
-    fn strict_batch_overlap_goes_to_retry_path() {
-        let infra = infra_flat(1, 2);
-        let req = request();
-        let config =
-            ServiceConfig { planners: 1, batch: 4, admit_stale: false, ..ServiceConfig::default() };
-        let service = PlacementService::new(SchedulerSession::new(&infra), config);
-
-        let a = Arc::new(pair_app("a", 2));
-        let b = Arc::new(pair_app("b", 2));
-        let ta = Arc::new(TicketInner::default());
-        let tb = Arc::new(TicketInner::default());
-        service.process_batch(vec![
-            Job::Place {
-                topology: Arc::clone(&a),
-                request: req.clone(),
-                ticket: Arc::clone(&ta),
-                stamp: BudgetStamp::Wall(Instant::now()),
-            },
-            Job::Place {
-                topology: Arc::clone(&b),
-                request: req.clone(),
-                ticket: Arc::clone(&tb),
-                stamp: BudgetStamp::Wall(Instant::now()),
-            },
-        ]);
-        assert!(matches!(Ticket(ta).wait(), ServiceResponse::Placed(_)));
-        assert!(matches!(Ticket(tb).wait(), ServiceResponse::Placed(_)));
-        let stats = service.stats();
-        assert_eq!(stats.overlap_conflicts, 1);
-        assert_eq!(stats.commit_conflicts, 1, "strict mode turns the overlap into a conflict");
-        assert_eq!(stats.replans, 1);
-        assert_eq!(stats.stale_admissions, 0);
-        assert_eq!(stats.committed, 2);
-    }
-
-    /// Stale admission end-to-end: a plan whose snapshot went stale
-    /// commits without re-planning when the live books still admit it.
-    #[test]
-    fn stale_plan_admitted_when_books_still_fit() {
-        let infra = infra_flat(1, 2);
-        let req = request();
-        let service =
-            PlacementService::new(SchedulerSession::new(&infra), ServiceConfig::default());
-
-        let stale = service.snapshot();
-        let app_a = pair_app("a", 2);
-        let planned = service.plan(&app_a, &req, &stale).unwrap();
-        service.place_blocking(&pair_app("b", 2), &req).unwrap();
-
-        match service.try_commit(&app_a, &planned).unwrap() {
-            CommitAttempt::Committed(outcome) => assert_eq!(outcome.seq, 2),
-            CommitAttempt::Conflict { .. } => panic!("books still fit — must admit stale plan"),
-        }
-        let stats = service.stats();
-        assert_eq!(stats.stale_admissions, 1);
-        assert_eq!(stats.commit_conflicts, 0);
-        assert_eq!(stats.committed, 2);
-    }
-
-    /// Stale admission still conflicts when the racing commit actually
-    /// consumed the capacity the plan relied on — and the retry loop
-    /// then rejects against current books if nothing fits.
-    #[test]
-    fn stale_plan_conflicts_when_capacity_moved() {
-        // 9-vcpu VMs cannot co-locate on a 16-vcpu host, so each pair
-        // spreads 9+9 across both hosts; after one commits, the other
-        // genuinely no longer fits anywhere.
-        let infra = infra_flat(1, 2);
-        let req = request();
-        let service =
-            PlacementService::new(SchedulerSession::new(&infra), ServiceConfig::default());
-
-        let stale = service.snapshot();
-        let loser = pair_app("loser", 9);
-        service.place_blocking(&pair_app("winner", 9), &req).unwrap();
-        let err = service.place_from(&loser, &req, stale, 0, 0).unwrap_err();
-        let _ = err;
-        let stats = service.stats();
-        assert_eq!(stats.commit_conflicts, 1, "stale commit against full books must conflict");
-        assert_eq!(stats.replans, 1);
-        assert_eq!(stats.rejected, 1, "re-plan against current books finds nothing");
-        assert_eq!(stats.stale_admissions, 0);
-        assert_eq!(stats.committed, 1);
     }
 
     /// Group commit keeps acknowledged commits durable: everything the
@@ -2208,11 +1316,15 @@ mod tests {
         let service = PlacementService::new(session, ServiceConfig::default());
 
         let shapes = [hub_app("a"), pair_app("b", 2), hub_app("c")];
-        let mut placed = Vec::new();
-        for shape in &shapes {
-            placed.push(service.place_blocking(shape, &req).unwrap());
-        }
-        service.release_blocking(&shapes[1], &placed[1].outcome.placement).unwrap();
+        let placed_all: Vec<ServiceOutcome> =
+            place_batch(&service, &shapes, &req).into_iter().map(placed).collect();
+        let release = Arc::new(TicketInner::default());
+        service.process_batch(vec![Job::Release {
+            topology: Arc::new(shapes[1].clone()),
+            placement: placed_all[1].outcome.placement.clone(),
+            ticket: Arc::clone(&release),
+        }]);
+        assert!(matches!(Ticket(release).wait(), ServiceResponse::Released { .. }));
         let live = service.into_session().into_state();
 
         // "Crash": the Wal is simply dropped with the session — no
@@ -2225,15 +1337,15 @@ mod tests {
 
     /// Sanity for the serve front-end: arrivals and departures mixed
     /// through the queue, every ticket resolves, and the books balance
-    /// back to base after all tenants depart. Exercised at 1, 2, and 4
-    /// planners so both the serial and the contended paths are covered.
+    /// back to base after all tenants depart — with one-job and
+    /// multi-job batches.
     #[test]
     fn serve_roundtrip_releases_everything() {
-        for planners in [1usize, 2, 4] {
+        for batch in [1usize, 3] {
             let infra = infra_flat(2, 4);
             let base = CapacityState::new(&infra);
             let req = request();
-            let config = ServiceConfig { planners, batch: 3, ..ServiceConfig::default() };
+            let config = ServiceConfig { batch, ..ServiceConfig::default() };
             let service =
                 PlacementService::new(SchedulerSession::with_state(&infra, base.clone()), config);
             let shapes: Vec<Arc<ApplicationTopology>> =
@@ -2250,7 +1362,7 @@ mod tests {
                             live.push((shape, outcome.outcome.placement))
                         }
                         ServiceResponse::Failed(e) => {
-                            panic!("placement failed at {planners} planners: {e}")
+                            panic!("placement failed at batch {batch}: {e}")
                         }
                         ServiceResponse::Released { .. } => unreachable!(),
                     }
@@ -2266,25 +1378,24 @@ mod tests {
                 }
             });
             let stats = service.stats();
-            assert_eq!(stats.committed, 6, "at {planners} planners");
-            assert_eq!(stats.released, 6, "at {planners} planners");
-            assert_eq!(service.into_session().into_state(), base, "at {planners} planners");
+            assert_eq!(stats.committed, 6, "at batch {batch}");
+            assert_eq!(stats.released, 6, "at batch {batch}");
+            assert_eq!(service.into_session().into_state(), base, "at batch {batch}");
         }
     }
 
-    /// Admission control: with a bounded queue and a gated planner, the
+    /// Admission control: with a bounded queue and a gated writer, the
     /// overflow submission is shed immediately with the typed
     /// queue-full error while admitted work completes untouched.
     #[test]
     fn bounded_queue_sheds_overflow_with_typed_error() {
         let infra = infra_flat(2, 4);
         let req = request();
-        // Gate the planner inside the plan hook so the queue can be
+        // Gate the writer inside the plan hook so the queue can be
         // filled deterministically while a batch is in flight.
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let hook_gate = Arc::clone(&gate);
-        let config =
-            ServiceConfig { planners: 1, batch: 1, queue_depth: 2, ..ServiceConfig::default() };
+        let config = ServiceConfig { batch: 1, queue_depth: 2, ..ServiceConfig::default() };
         let mut service = PlacementService::new(SchedulerSession::new(&infra), config);
         service.set_plan_hook(Some(PlanHook::new(move |_| {
             let (open, cv) = &*hook_gate;
@@ -2300,7 +1411,7 @@ mod tests {
         let shapes: Vec<Arc<ApplicationTopology>> =
             (0..4).map(|i| Arc::new(pair_app(&format!("t{i}"), 2))).collect();
         service.serve(|handle| {
-            // First submission is popped by the planner (which then
+            // First submission is popped by the writer (which then
             // blocks on the gate), leaving the queue empty.
             let first = handle.submit(Arc::clone(&shapes[0]), req.clone());
             while handle.service().stats().batches < 1 {
@@ -2337,7 +1448,6 @@ mod tests {
         let infra = infra_flat(2, 4);
         let req = request();
         let config = ServiceConfig {
-            planners: 1,
             batch: 2,
             deadline_ms: 5,
             virtual_tick_us: 1_000, // one tick = 1ms of budget
@@ -2417,39 +1527,28 @@ mod tests {
         let service = PlacementService::new(SchedulerSession::new(&infra), config);
         service.degrade_level.store(LEVEL_FLOOR, Ordering::Relaxed);
 
-        let ticket = Arc::new(TicketInner::default());
-        service.process_batch(vec![Job::Place {
-            topology: Arc::new(pair_app("a", 2)),
-            request: PlacementRequest::with_algorithm(Algorithm::BoundedAStar),
-            ticket: Arc::clone(&ticket),
-            stamp: BudgetStamp::Wall(Instant::now()),
-        }]);
-        match Ticket(ticket).wait() {
-            ServiceResponse::Placed(outcome) => {
-                assert!(outcome.outcome.stats.degraded, "outcome must carry the degraded flag");
-            }
-            other => panic!("floored request must still place: {other:?}"),
-        }
+        let bastar = PlacementRequest::with_algorithm(Algorithm::BoundedAStar);
+        let [floored] =
+            <[ServiceResponse; 1]>::try_from(place_batch(&service, &[pair_app("a", 2)], &bastar))
+                .unwrap();
+        assert!(placed(floored).outcome.stats.degraded, "outcome must carry the degraded flag");
         assert_eq!(service.stats().degraded_decisions, 1);
 
         // A greedy request at the floor is already at the floor — no
         // degradation recorded, no flag.
-        let greedy = Arc::new(TicketInner::default());
-        service.process_batch(vec![Job::Place {
-            topology: Arc::new(pair_app("b", 2)),
-            request: request(),
-            ticket: Arc::clone(&greedy),
-            stamp: BudgetStamp::Wall(Instant::now()),
-        }]);
-        match Ticket(greedy).wait() {
-            ServiceResponse::Placed(outcome) => assert!(!outcome.outcome.stats.degraded),
-            other => panic!("greedy request must place: {other:?}"),
-        }
+        let [greedy] = <[ServiceResponse; 1]>::try_from(place_batch(
+            &service,
+            &[pair_app("b", 2)],
+            &request(),
+        ))
+        .unwrap();
+        assert!(!placed(greedy).outcome.stats.degraded);
         assert_eq!(service.stats().degraded_decisions, 1);
     }
 
     /// Planner panics become typed per-request errors and the service
-    /// keeps serving — both on the blocking path and through serve().
+    /// keeps serving — both within one admission batch and through
+    /// serve().
     #[test]
     fn planner_panic_is_contained_as_a_typed_error() {
         let infra = infra_flat(2, 4);
@@ -2465,15 +1564,16 @@ mod tests {
         // Suppress the default panic backtrace spew for this test.
         let prior = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let err = service.place_blocking(&pair_app("boom", 2), &req).unwrap_err();
-        match &err {
-            PlacementError::PlannerPanic { reason } => {
+        let mut batch =
+            place_batch(&service, &[pair_app("boom", 2), pair_app("ok", 2)], &req).into_iter();
+        match batch.next() {
+            Some(ServiceResponse::Failed(PlacementError::PlannerPanic { reason })) => {
                 assert!(reason.contains("injected planner fault"), "reason: {reason}")
             }
-            other => panic!("expected PlannerPanic, got {other}"),
+            other => panic!("expected PlannerPanic, got {other:?}"),
         }
-        // The service is still healthy.
-        service.place_blocking(&pair_app("ok", 2), &req).unwrap();
+        // The service is still healthy: the batch neighbour commits.
+        placed(batch.next().unwrap());
 
         // Through the queue: the poison request fails typed, its batch
         // neighbours still resolve, nothing hangs.
@@ -2494,7 +1594,7 @@ mod tests {
             ServiceResponse::Failed(PlacementError::PlannerPanic { .. })
         ));
         assert!(matches!(&responses[2], ServiceResponse::Placed(_)));
-        assert!(service.stats().planner_panics >= 1);
+        assert_eq!(service.stats().planner_panics, 2);
     }
 
     /// WAL disk-full mid-group-commit under the Reject policy: the
@@ -2520,7 +1620,6 @@ mod tests {
                 .then_some(WalFault::Error(std::io::ErrorKind::StorageFull))
         })));
         let config = ServiceConfig {
-            planners: 1,
             batch: 4,
             wal_policy: DurabilityPolicy::Reject,
             wal_retries: 2,
@@ -2529,31 +1628,14 @@ mod tests {
         let service = PlacementService::new(session, config);
 
         // A commits durably while the disk is healthy.
-        let a = pair_app("a", 2);
-        service.place_blocking(&a, &req).unwrap();
+        placed(place_batch(&service, &[pair_app("a", 2)], &req).remove(0));
         let acked = wal::recover(&dir, &infra).unwrap().state;
 
         // Disk fills; a two-member batch appends its records, then the
         // group-commit fsync fails.
         armed.store(true, Ordering::Relaxed);
-        let tb = Arc::new(TicketInner::default());
-        let tc = Arc::new(TicketInner::default());
-        service.process_batch(vec![
-            Job::Place {
-                topology: Arc::new(pair_app("b", 2)),
-                request: req.clone(),
-                ticket: Arc::clone(&tb),
-                stamp: BudgetStamp::Wall(Instant::now()),
-            },
-            Job::Place {
-                topology: Arc::new(pair_app("c", 2)),
-                request: req.clone(),
-                ticket: Arc::clone(&tc),
-                stamp: BudgetStamp::Wall(Instant::now()),
-            },
-        ]);
-        for ticket in [tb, tc] {
-            match Ticket(ticket).wait() {
+        for response in place_batch(&service, &[pair_app("b", 2), pair_app("c", 2)], &req) {
+            match response {
                 ServiceResponse::Failed(PlacementError::Durability { reason }) => {
                     assert!(reason.contains("injected"), "reason: {reason}")
                 }
@@ -2571,8 +1653,7 @@ mod tests {
 
         // Disk heals: the same service commits D durably again.
         armed.store(false, Ordering::Relaxed);
-        let d = pair_app("d", 2);
-        service.place_blocking(&d, &req).unwrap();
+        placed(place_batch(&service, &[pair_app("d", 2)], &req).remove(0));
         let live = service.into_session().into_state();
         assert_eq!(wal::recover(&dir, &infra).unwrap().state, live);
         let _ = std::fs::remove_dir_all(&dir);
@@ -2597,7 +1678,7 @@ mod tests {
         })));
         let service = PlacementService::new(session, ServiceConfig::default());
 
-        service.place_blocking(&pair_app("a", 2), &req).unwrap();
+        placed(place_batch(&service, &[pair_app("a", 2)], &req).remove(0));
         let stats = service.stats();
         assert_eq!(stats.non_durable_acks, 1);
         assert_eq!(stats.wal_faults, 1);
@@ -2605,6 +1686,73 @@ mod tests {
         let mut session = service.into_session();
         let latched = session.take_wal_error().expect("fault must latch for the report path");
         assert!(latched.to_string().contains("injected"), "latched: {latched}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A maintenance tick whose journal append fails under the Reject
+    /// policy is undone — books, ledger and journal — instead of
+    /// leaving a migration on the books that the journal lost. The next
+    /// placement then commits durably rather than being rejected for
+    /// the tick's fault, and recovery reproduces the live books.
+    #[test]
+    fn failed_maintenance_tick_under_reject_rolls_back() {
+        let dir = std::env::temp_dir().join(format!("ostro-maint-wal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let infra = infra_flat(2, 6);
+        let req = request();
+        let (journal, _recovery) =
+            Wal::open(&dir, &infra, WalOptions { snapshot_every: 0, ..WalOptions::default() })
+                .unwrap();
+        let mut session = SchedulerSession::new(&infra);
+        session.attach_wal(journal);
+        // One tenant scattered across both racks: a defrag sweep
+        // brings its two VMs together.
+        let topology = Arc::new(pair_app("scattered", 2));
+        let placement = Placement::new(vec![HostId::from_index(0), HostId::from_index(11)]);
+        session.commit(&topology, &placement).unwrap();
+        let mut ledger = vec![TenantRecord { id: 0, topology, placement }];
+        let armed = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let hook_armed = Arc::clone(&armed);
+        session.set_wal_fault_hook(Some(WalFaultHook::new(move |op, _seq| {
+            (hook_armed.load(Ordering::Relaxed) && op == WalIoOp::Append)
+                .then_some(WalFault::Error(std::io::ErrorKind::StorageFull))
+        })));
+        let config = ServiceConfig {
+            batch: 1,
+            wal_policy: DurabilityPolicy::Reject,
+            ..ServiceConfig::default()
+        };
+        let service = PlacementService::new(session, config);
+        let mut plane = MaintenancePlane::new(MaintenanceConfig::default(), infra.host_count());
+        for i in 0..infra.host_count() {
+            plane.heartbeat(HostId::from_index(i as u32), 0);
+        }
+        let ledger_before: Vec<Placement> = ledger.iter().map(|t| t.placement.clone()).collect();
+
+        // The disk fails under the tick's first migration record.
+        armed.store(true, Ordering::Relaxed);
+        service.maintain(&mut plane, &mut ledger, 0, 0);
+        armed.store(false, Ordering::Relaxed);
+
+        // The disk heals: the next placement is not blamed for the
+        // tick's fault and commits durably.
+        for shape in [pair_app("p", 2), pair_app("q", 2)] {
+            placed(place_batch(&service, &[shape], &req).remove(0));
+        }
+        let stats = service.stats();
+        assert_eq!(stats.durability_rejections, 0, "placements rejected for the tick's fault");
+        assert_eq!(stats.wal_faults, 1);
+        assert_eq!(stats.maintenance_migrations, 0, "the failed tick must not count its moves");
+        let after: Vec<Placement> = ledger.iter().map(|t| t.placement.clone()).collect();
+        assert_eq!(after, ledger_before, "the ledger must roll back with the books");
+
+        // The same tick, retried on a healthy disk, does migrate.
+        let retried = service.maintain(&mut plane, &mut ledger, 0, 0);
+        assert!(retried.migrations > 0, "the retried tick should find its moves again");
+        let mut session = service.into_session();
+        assert!(session.take_wal_error().is_none());
+        let live = session.into_state();
+        assert_eq!(wal::recover(&dir, &infra).unwrap().state, live, "recovered ≠ live books");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

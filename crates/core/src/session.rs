@@ -31,7 +31,7 @@
 //!
 //! [`lower_bound_mbps`]: crate::heuristic::lower_bound_mbps
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 use ostro_datacenter::{
     CapacityError, CapacityState, CapacityTable, FxHashMap, HostId, Infrastructure,
@@ -157,12 +157,9 @@ pub(crate) struct SessionShared {
     /// re-resolved from the journal. Diagnostics and tests only — the
     /// cache keys are value-based and never read these.
     pub(crate) epochs: Vec<u64>,
-    /// The cross-request bound cache. Behind an [`Arc`] so epoch
-    /// snapshots ([`clone_for_snapshot`](Self::clone_for_snapshot))
-    /// share the *same* cache with the live session: the keys are pure
-    /// values (see the module docs), so an entry written while planning
-    /// against one snapshot is bit-exact for every other state too.
-    pub(crate) cache: Arc<Mutex<SessionCache>>,
+    /// The cross-request bound cache. Its keys are pure values (see the
+    /// module docs), so an entry stays bit-exact however the books move.
+    pub(crate) cache: Mutex<SessionCache>,
     /// The persistent scoring pool, created lazily on the first request
     /// large enough to engage it and reused (workers, scratch buffers
     /// and all) for the rest of the session's life.
@@ -197,28 +194,21 @@ impl SessionShared {
             epochs: vec![0; summaries.len()],
             pods: crate::shard::PodDigests::new(infra, &summaries),
             summaries,
-            cache: Arc::new(Mutex::new(SessionCache::default())),
+            cache: Mutex::new(SessionCache::default()),
             pool: OnceLock::new(),
             table: CapacityTable::new(infra, state),
         }
     }
+}
 
-    /// A frozen copy for an epoch snapshot: summaries, epochs, and the
-    /// capacity-table columns are cloned (they describe one specific
-    /// state), the bound cache is *shared* (its keys are state-
-    /// independent values), and the scoring pool starts empty — each
-    /// concurrent planner must bring its own workers, a pool serves one
-    /// search at a time.
-    pub(crate) fn clone_for_snapshot(&self) -> SessionShared {
-        SessionShared {
-            summaries: self.summaries.clone(),
-            epochs: self.epochs.clone(),
-            cache: Arc::clone(&self.cache),
-            pool: OnceLock::new(),
-            table: self.table.clone(),
-            pods: self.pods.clone(),
-        }
-    }
+/// A saved copy of a session's books: the capacity state, the
+/// quarantine set and the migration tally. The service restores one
+/// to undo a maintenance tick the journal could not take.
+#[derive(Debug)]
+pub(crate) struct BooksCopy {
+    state: CapacityState,
+    quarantined: Vec<bool>,
+    maintenance_migrations: u64,
 }
 
 /// Structure-only signature of a topology: node requirements, links,
@@ -449,12 +439,6 @@ impl<'a> SchedulerSession<'a> {
         self.scheduler
     }
 
-    /// The shared half of the session (summaries, epochs, bound cache,
-    /// capacity table) — what an epoch snapshot clones.
-    pub(crate) fn shared(&self) -> &SessionShared {
-        &self.shared
-    }
-
     /// Fsyncs the journal now (the service's group-commit point: one
     /// sync covers every record appended since the last). Fail-stop
     /// like [`journal`](Self::journal): a sync error is recorded in
@@ -514,12 +498,6 @@ impl<'a> SchedulerSession<'a> {
         }
     }
 
-    /// Sequence number of the journal's last durable record, if a
-    /// journal is attached.
-    pub(crate) fn wal_seq(&self) -> Option<u64> {
-        self.wal.as_ref().map(Wal::seq)
-    }
-
     /// Retries the group-commit fsync after a failure: clears the
     /// fail-stop latch and syncs again. Returns whether the sync
     /// succeeded; on failure the latch is re-armed with the new error.
@@ -535,6 +513,36 @@ impl<'a> SchedulerSession<'a> {
                 false
             }
         }
+    }
+
+    /// Copies the books for a later [`restore_books`](Self::restore_books).
+    pub(crate) fn save_books(&self) -> BooksCopy {
+        BooksCopy {
+            state: self.state.clone(),
+            quarantined: self.quarantined.clone(),
+            maintenance_migrations: self.maintenance_migrations,
+        }
+    }
+
+    /// Rolls the books back to `copy` — books only, nothing is
+    /// journaled. Every host whose availability, NIC headroom,
+    /// activity or quarantine differs is journaled dirty, so the next
+    /// refresh re-resolves exactly those.
+    pub(crate) fn restore_books(&mut self, copy: BooksCopy) {
+        for (i, &was_quarantined) in copy.quarantined.iter().enumerate() {
+            let host = HostId::from_index(i as u32);
+            let (now, then) = (&self.state, &copy.state);
+            if self.quarantined[i] != was_quarantined
+                || now.available(host) != then.available(host)
+                || now.nic_available(host) != then.nic_available(host)
+                || now.is_active(host) != then.is_active(host)
+            {
+                self.touch(host);
+            }
+        }
+        self.state = copy.state;
+        self.quarantined = copy.quarantined;
+        self.maintenance_migrations = copy.maintenance_migrations;
     }
 
     /// The infrastructure this session schedules onto.

@@ -1033,13 +1033,6 @@ pub(crate) struct WalMark {
     generation: u64,
 }
 
-impl WalMark {
-    /// Sequence number of the last record covered by the mark.
-    pub(crate) fn seq(&self) -> u64 {
-        self.seq
-    }
-}
-
 impl Wal {
     /// Opens (or creates) the journal in `dir`, first recovering
     /// whatever durable state it holds. A torn tail is truncated at
@@ -1527,7 +1520,7 @@ mod tests {
         wal.append(WalOp::ReserveNode, &[Effect::ReserveNode { host: h(0), resources: res }])
             .unwrap();
         let mark = wal.mark();
-        assert_eq!(mark.seq(), 1);
+        assert_eq!(mark.seq, 1);
         wal.append(WalOp::ReserveNode, &[Effect::ReserveNode { host: h(1), resources: res }])
             .unwrap();
         wal.append(WalOp::ReserveNode, &[Effect::ReserveNode { host: h(2), resources: res }])

@@ -292,10 +292,9 @@ impl ChaosPlan {
 
     /// The plan as a service plan hook: each planning invocation takes
     /// the next ordinal from a shared counter, sleeps through its
-    /// latency spike, then panics if the draw says so. Deterministic
-    /// when the service runs one planner (invocation order is queue
-    /// order); with more planners the ordinals depend on thread
-    /// interleaving.
+    /// latency spike, then panics if the draw says so. Deterministic:
+    /// the service's single writer plans in queue order, so the
+    /// ordinals follow the submission order.
     #[must_use]
     pub fn plan_hook(&self) -> PlanHook {
         let plan = self.clone();
@@ -320,7 +319,7 @@ impl ChaosPlan {
     /// instead of a transient one. The ordinal always advances, so the
     /// disk "heals" the way a real flaky disk does, while staying a
     /// pure function of the consultation history (deterministic for a
-    /// serialized single-planner run).
+    /// serialized run).
     #[must_use]
     pub fn wal_hook(&self) -> WalFaultHook {
         let plan = self.clone();

@@ -85,9 +85,9 @@ strip_restart_fields() {
 }
 diff <(strip_restart_fields "$tmp/crash.json") \
      <(strip_restart_fields "$tmp/churn1.json")
-# Concurrent service smoke (64 hosts): plans batches against epoch-
-# stamped snapshots, commits optimistically, asserts the commit-order
-# replay reproduces the final books exactly, and runs a crash drill.
+# Placement service smoke (64 hosts): runs the single-writer service
+# beside the serial warm session, asserts the commit-order replay
+# reproduces the final books exactly, and runs a crash drill.
 # (Regenerating the full artifact — `cargo bench -p ostro-bench
 # --bench service` — additionally fails on a >10% req/s regression
 # against the checked-in BENCH_service.json on a comparable box.)
@@ -98,23 +98,26 @@ cargo bench -p ostro-bench --bench service -- --smoke
 # resolves typed, no acknowledged commit is lost (recovered ≡ live
 # books), and two same-seed storms are bit-identical.
 cargo bench -p ostro-bench --bench chaos -- --smoke
-# Service-vs-serial decision digest through the CLI: with one planner
-# and batch size one the service degenerates to the serial path, so
-# the same seeded stream must reach the identical decision set (the
+# Service-vs-serial decision digest through the CLI: the single writer
+# plans every request in queue order on the live books, so the same
+# seeded stream must reach the identical decision set as a serial warm
+# session — at batch size one and at the default batch alike (the
 # digest is order-independent and covers every placement/rejection).
 serve_stream() {
   cargo run -q --release -p ostro-cli -- serve --infra "$tmp/infra.json" \
     --requests 8 --depart-prob 0.4 --seed 7 "$@"
 }
+decision_digest() { grep -o '"decision_digest": "[0-9a-f]*"' "$1"; }
 serve_stream --serial > "$tmp/serve-serial.json"
-serve_stream --planners 1 --batch 1 > "$tmp/serve-service.json"
-diff <(grep -o '"decision_digest": "[0-9a-f]*"' "$tmp/serve-serial.json") \
-     <(grep -o '"decision_digest": "[0-9a-f]*"' "$tmp/serve-service.json")
+serve_stream --batch 1 > "$tmp/serve-service.json"
+diff <(decision_digest "$tmp/serve-serial.json") <(decision_digest "$tmp/serve-service.json")
+serve_stream > "$tmp/serve-batched.json"
+diff <(decision_digest "$tmp/serve-serial.json") <(decision_digest "$tmp/serve-batched.json")
 # Burst-overload serve through the CLI: a bounded ingress queue under a
 # one-shot 32-request burst must shed with typed errors, account for
 # every arrival in exactly one bucket, and still exit cleanly.
 cargo run -q --release -p ostro-cli -- serve --infra "$tmp/infra.json" \
-  --requests 32 --depart-prob 0.0 --seed 7 --planners 1 --batch 1 \
+  --requests 32 --depart-prob 0.0 --seed 7 --batch 1 \
   --queue-depth 1 --degrade > "$tmp/serve-overload.json"
 count() { grep -o "\"$1\": [0-9]*" "$tmp/serve-overload.json" | head -1 | grep -o '[0-9]*$'; }
 test "$(count shed)" -gt 0
